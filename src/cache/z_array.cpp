@@ -92,48 +92,44 @@ ZArray::access(Addr lineAddr, const AccessContext& ctx)
 {
     // A lookup reads one tag per way (each way has its own index).
     stats_.tagReads += cfg_.ways;
+    BlockPos pos = kInvalidPos;
     if (cfg_.referenceWalk) [[unlikely]] {
         for (std::uint32_t w = 0; w < cfg_.ways; w++) {
-            BlockPos pos = positionOf(w, lineAddr);
-            if (tags_[pos] == lineAddr) {
-                stats_.dataReads++;
-                policy_->onHit(pos, ctx);
-                return pos;
+            BlockPos p = positionOf(w, lineAddr);
+            if (tags_[p] == lineAddr) {
+                pos = p;
+                break;
             }
         }
-        return kInvalidPos;
+    } else {
+        pos = ZArray::probe(lineAddr);
     }
-    // All W way indices in one batched, devirtualized call.
-    wayIndex_.positionsAll(lineAddr, wayPos_.data());
-    for (std::uint32_t w = 0; w < cfg_.ways; w++) {
-        BlockPos pos = wayPos_[w];
-        if (tags_[pos] == lineAddr) {
-            stats_.dataReads++;
-            policy_->onHit(pos, ctx);
-            return pos;
-        }
-    }
-    return kInvalidPos;
+    if (pos == kInvalidPos) return kInvalidPos;
+    stats_.dataReads++;
+    policy_->onHit(pos, ctx);
+    return pos;
 }
 
 BlockPos
 ZArray::probe(Addr lineAddr) const
 {
-    for (std::uint32_t w = 0; w < cfg_.ways; w++) {
-        BlockPos pos = positionOf(w, lineAddr);
-        if (tags_[pos] == lineAddr) return pos;
-    }
-    return kInvalidPos;
+    BlockPos found = kInvalidPos;
+    wayIndex_.forEachPosition(lineAddr, [&](std::uint32_t, BlockPos pos) {
+        if (tags_[pos] != lineAddr) return false;
+        found = pos;
+        return true;
+    });
+    return found;
 }
 
 std::uint32_t
 ZArray::lookupWays(Addr lineAddr, BlockPos* out, std::uint32_t cap) const
 {
     if (cap < cfg_.ways) return 0;
-    // positionOf (not the wayPos_ scratch buffer): lookupWays must stay
-    // free of mutable state so concurrent lock-free readers can call it.
-    for (std::uint32_t w = 0; w < cfg_.ways; w++)
-        out[w] = positionOf(w, lineAddr);
+    // Straight into the caller's buffer (not the wayPos_ scratch):
+    // lookupWays must stay free of mutable state so concurrent lock-free
+    // readers can call it.
+    wayIndex_.positionsAll(lineAddr, out);
     return cfg_.ways;
 }
 

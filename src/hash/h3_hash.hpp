@@ -18,6 +18,10 @@
  * an unlucky rank-deficient projection. This is still an H3 member
  * (a few XOR gates per output bit); it just excludes the degenerate
  * corner of the family.
+ *
+ * hash() is the only definition of the function. Because it is linear
+ * over GF(2), WayIndexer (hash/way_index.hpp) tabulates it from hash()
+ * calls on nibble-sized inputs instead of reading the matrix.
  */
 
 #pragma once
@@ -71,13 +75,6 @@ class H3Hash final : public HashFunction
     }
 
     std::uint64_t buckets() const override { return buckets_; }
-
-    /**
-     * The matrix rows (one per output bit). Exposed so WayIndexer can
-     * flatten several ways' matrices into one contiguous table and
-     * evaluate them without virtual dispatch (hash/way_index.hpp).
-     */
-    const std::vector<std::uint64_t>& rows() const { return rows_; }
 
     std::string
     name() const override

@@ -7,13 +7,22 @@
  * made the virtual HashFunction::hash() call the single largest source
  * of call overhead in the simulator. WayIndexer inspects a hash family
  * once at construction: when every way is the same concrete type (H3,
- * folded-XOR, bit-select or the strong mixer) it copies the few words of
- * per-way state into flat contiguous tables and evaluates the family
+ * folded-XOR, bit-select or the strong mixer) it evaluates the family
  * with direct, inlinable code; otherwise it falls back to the virtual
  * interface. The virtual HashFunction hierarchy stays the source of
  * truth for factories and tests — WayIndexer is a pure evaluation
  * cache, and test_walk_equivalence.cpp proves both paths bit-identical
  * for every hash kind.
+ *
+ * H3 is tabulated. Each way's H3 function is linear over GF(2), so an
+ * address's hash is the XOR of the hashes of its 16 nibbles in place:
+ * h(a) = XOR_k h(nibble_k(a) << 4k). The indexer calls H3Hash::hash()
+ * on all 16 x 16 nibble values once and stores the results as 16
+ * tables of 16 words. Each word packs floor(64 / outBits) ways' hashes
+ * side by side as outBits-wide lanes, so one pass of 16 loads and XORs
+ * yields the positions of that many ways at once. A word costs 2 KB of
+ * table; every array with at most 5 ways of up to 4096 lines needs just
+ * one.
  *
  * Positions are returned in the array's flat BlockPos space:
  * way * linesPerWay + hash_way(addr).
@@ -21,6 +30,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -49,7 +59,7 @@ class WayIndexer
     /**
      * Snapshot the family's state. @p hashes must outlive this indexer
      * only in Generic mode (raw pointers are kept); the specialized
-     * modes copy everything they need.
+     * modes copy or tabulate everything they need.
      */
     void
     build(const std::vector<HashPtr>& hashes, std::uint32_t lines_per_way)
@@ -62,22 +72,29 @@ class WayIndexer
         outBits_ = log2Floor(lines_per_way);
 
         mode_ = detect(hashes);
-        h3Rows_.clear();
+        h3Table_.clear();
         salts_.clear();
         seeds_.clear();
         generic_.clear();
         switch (mode_) {
-          case Mode::H3:
-            // Way-major flattened matrix: rows of way w start at
-            // w * outBits_.
-            h3Rows_.reserve(std::size_t{ways_} * outBits_);
-            for (const auto& h : hashes) {
-                const auto& rows =
-                    static_cast<const H3Hash&>(*h).rows();
-                zc_assert(rows.size() == outBits_);
-                h3Rows_.insert(h3Rows_.end(), rows.begin(), rows.end());
+          case Mode::H3: {
+            // With 0-bit lanes (one line per way) every hash is 0 and
+            // all ways share one word.
+            lanes_ = outBits_ ? std::min(64 / outBits_, ways_) : ways_;
+            const std::uint32_t words = (ways_ + lanes_ - 1) / lanes_;
+            h3Table_.assign(std::size_t{words} * kWordTable, 0);
+            for (std::uint32_t w = 0; w < ways_; w++) {
+                std::uint64_t* t = &h3Table_[(w / lanes_) * kWordTable];
+                const std::uint32_t shift = (w % lanes_) * outBits_;
+                for (std::uint32_t k = 0; k < kNibbles; k++) {
+                    for (std::uint64_t v = 0; v < 16; v++) {
+                        t[k * 16 + v] |= hashes[w]->hash(v << (4 * k))
+                                         << shift;
+                    }
+                }
             }
             break;
+          }
           case Mode::FoldedXor:
             for (const auto& h : hashes) {
                 salts_.push_back(
@@ -107,7 +124,9 @@ class WayIndexer
         std::uint64_t h;
         switch (mode_) {
           case Mode::H3:
-            h = h3One(&h3Rows_[std::size_t{way} * outBits_], lineAddr);
+            h = (h3Word(way / lanes_, lineAddr) >>
+                 ((way % lanes_) * outBits_)) &
+                mask_;
             break;
           case Mode::FoldedXor:
             h = foldedOne(lineAddr + salts_[way]);
@@ -126,48 +145,78 @@ class WayIndexer
     }
 
     /**
-     * Compute all W way positions of @p lineAddr in one batched call.
-     * @p out must hold ways() entries. One mode dispatch for the whole
-     * family; the per-way inner loops run over contiguous state.
+     * Visit the W way positions of @p lineAddr in way order, calling
+     * @p fn(way, pos) until it returns true. One mode dispatch for the
+     * whole family; H3 evaluates one packed table word per group of
+     * ways, and the other modes compute each position only when it is
+     * visited.
      */
+    template <typename Fn>
     void
-    positionsAll(Addr lineAddr, BlockPos* out) const
+    forEachPosition(Addr lineAddr, Fn&& fn) const
     {
         switch (mode_) {
-          case Mode::H3: {
-            const std::uint64_t* rows = h3Rows_.data();
-            for (std::uint32_t w = 0; w < ways_; w++) {
-                out[w] = static_cast<BlockPos>(
-                    w * linesPerWay_ + h3One(rows + std::size_t{w} * outBits_,
-                                             lineAddr));
+          case Mode::H3:
+            for (std::uint32_t w = 0, word = 0; w < ways_; word++) {
+                std::uint64_t lanes = h3Word(word, lineAddr);
+                const std::uint32_t end = std::min(ways_, w + lanes_);
+                for (; w < end; w++, lanes >>= outBits_) {
+                    if (fn(w, static_cast<BlockPos>(w * linesPerWay_ +
+                                                    (lanes & mask_)))) {
+                        return;
+                    }
+                }
             }
             return;
-          }
           case Mode::FoldedXor:
             for (std::uint32_t w = 0; w < ways_; w++) {
-                out[w] = static_cast<BlockPos>(
-                    w * linesPerWay_ + foldedOne(lineAddr + salts_[w]));
+                if (fn(w, static_cast<BlockPos>(
+                              w * linesPerWay_ +
+                              foldedOne(lineAddr + salts_[w])))) {
+                    return;
+                }
             }
             return;
           case Mode::BitSelect:
             for (std::uint32_t w = 0; w < ways_; w++) {
-                out[w] = static_cast<BlockPos>(w * linesPerWay_ +
-                                               (lineAddr & mask_));
+                if (fn(w, static_cast<BlockPos>(w * linesPerWay_ +
+                                                (lineAddr & mask_)))) {
+                    return;
+                }
             }
             return;
           case Mode::Strong:
             for (std::uint32_t w = 0; w < ways_; w++) {
-                out[w] = static_cast<BlockPos>(
-                    w * linesPerWay_ + strongOne(lineAddr, seeds_[w]));
+                if (fn(w, static_cast<BlockPos>(
+                              w * linesPerWay_ +
+                              strongOne(lineAddr, seeds_[w])))) {
+                    return;
+                }
             }
             return;
           default:
             for (std::uint32_t w = 0; w < ways_; w++) {
-                out[w] = static_cast<BlockPos>(
-                    w * linesPerWay_ + generic_[w]->hash(lineAddr));
+                if (fn(w, static_cast<BlockPos>(
+                              w * linesPerWay_ +
+                              generic_[w]->hash(lineAddr)))) {
+                    return;
+                }
             }
             return;
         }
+    }
+
+    /**
+     * Compute all W way positions of @p lineAddr in one batched call.
+     * @p out must hold ways() entries.
+     */
+    void
+    positionsAll(Addr lineAddr, BlockPos* out) const
+    {
+        forEachPosition(lineAddr, [out](std::uint32_t w, BlockPos pos) {
+            out[w] = pos;
+            return false;
+        });
     }
 
     /** Evaluation mode, for tests and telemetry. */
@@ -175,7 +224,7 @@ class WayIndexer
     modeName() const
     {
         switch (mode_) {
-          case Mode::H3: return "h3-batched";
+          case Mode::H3: return "h3-table";
           case Mode::FoldedXor: return "fxor-batched";
           case Mode::BitSelect: return "bitsel-batched";
           case Mode::Strong: return "strong-batched";
@@ -187,6 +236,10 @@ class WayIndexer
 
   private:
     enum class Mode { Generic, H3, FoldedXor, BitSelect, Strong };
+
+    /// Nibbles in an address; each has 16 values, one table entry each.
+    static constexpr std::uint32_t kNibbles = 16;
+    static constexpr std::size_t kWordTable = kNibbles * 16;
 
     static Mode
     detect(const std::vector<HashPtr>& hashes)
@@ -210,15 +263,15 @@ class WayIndexer
         return true;
     }
 
-    // Mirrors H3Hash::hash() over a flattened row table.
+    // The packed H3 lanes of word @p word: XOR of one table entry per
+    // address nibble.
     std::uint64_t
-    h3One(const std::uint64_t* rows, Addr lineAddr) const
+    h3Word(std::uint32_t word, Addr lineAddr) const
     {
+        const std::uint64_t* t = &h3Table_[word * kWordTable];
         std::uint64_t out = 0;
-        for (std::uint32_t i = 0; i < outBits_; i++) {
-            out |= static_cast<std::uint64_t>(popcount(lineAddr & rows[i]) &
-                                              1u)
-                   << i;
+        for (std::uint32_t k = 0; k < kNibbles; k++, t += 16) {
+            out ^= t[(lineAddr >> (4 * k)) & 15];
         }
         return out;
     }
@@ -251,8 +304,11 @@ class WayIndexer
     std::uint32_t ways_ = 0;
     std::uint32_t linesPerWay_ = 0;
     std::uint32_t outBits_ = 0;
+    std::uint32_t lanes_ = 1; ///< H3 ways packed per table word
     std::uint64_t mask_ = 0;
-    std::vector<std::uint64_t> h3Rows_; ///< way-major, ways * outBits rows
+    /// H3 nibble tables, word-major: word j's entry for nibble k, value
+    /// v at j * kWordTable + k * 16 + v.
+    std::vector<std::uint64_t> h3Table_;
     std::vector<std::uint64_t> salts_;  ///< folded-XOR additive constants
     std::vector<std::uint64_t> seeds_;  ///< strong-mixer seeds
     std::vector<const HashFunction*> generic_; ///< fallback (non-owning)

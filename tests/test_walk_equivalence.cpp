@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -28,7 +29,7 @@
 namespace zc {
 namespace {
 
-constexpr std::uint32_t kBlocks = 1024; // 4 ways x 256 lines
+constexpr std::uint32_t kBlocks = 1024; // e.g. 4 ways x 256 lines
 constexpr std::uint64_t kFootprint = 4096;
 
 std::unique_ptr<ZArray>
@@ -189,8 +190,10 @@ TEST(WalkEquivalence, BloomRepeatFilter)
     }
 }
 
-// L=1 (skew-associative degenerate) and a wider array: shapes at the
-// edges of the walk-tree recurrence.
+// L=1 (skew-associative degenerate) and wider arrays: shapes at the
+// edges of the walk-tree recurrence. W8L2 packs its 8 x 7-bit H3 lanes
+// into one table word; W16 x 64 lines needs 16 6-bit lanes at 10 per
+// word, so its walks run on the second word too.
 TEST(WalkEquivalence, DegenerateAndWideShapes)
 {
     {
@@ -206,6 +209,13 @@ TEST(WalkEquivalence, DegenerateAndWideShapes)
         cfg.levels = 2;
         cfg.traceCapacity = 32;
         expectEquivalent(cfg, PolicyKind::Srrip, 3000, "h3/bfs/W8L2");
+    }
+    {
+        ZArrayConfig cfg;
+        cfg.ways = 16;
+        cfg.levels = 2;
+        cfg.traceCapacity = 32;
+        expectEquivalent(cfg, PolicyKind::Srrip, 3000, "h3/bfs/W16L2");
     }
 }
 
@@ -290,32 +300,89 @@ TEST(WalkEquivalence, CompressedNullCodecRatio1IsBitIdentical)
 
 // For every specializable kind, the indexer must (a) leave the virtual
 // path, and (b) agree with the virtual hashes on every way for a large
-// random address sample — including the batched positionsAll entry
-// point the walk actually uses.
+// address sample — including the batched positionsAll entry point the
+// walk actually uses, and the probe/lookupWays of a ZArray built over
+// the same family. The shapes cover every way H3 lanes can pack: one
+// word (4x256), lanes filling exactly 64 bits (4x65536), a second word
+// (8x4096), six words (32x1024), 1-bit lanes (2x2) and 0-bit lanes
+// (4x1). The sample leads with 0, ~0 and every single-bit address,
+// which reach each of the 16 H3 nibble tables on its own.
 TEST(WayIndexer, MatchesVirtualHashesForEveryKind)
 {
-    const std::uint32_t ways = 4, lines = 256;
-    for (HashKind hk : kAllHashKinds) {
-        auto fam = makeHashFamily(hk, ways, lines, 0x5eed);
-        WayIndexer idx(fam, lines);
-        if (hk == HashKind::Sha1) {
-            EXPECT_FALSE(idx.devirtualized());
-            EXPECT_STREQ(idx.modeName(), "generic-virtual");
-        } else {
-            EXPECT_TRUE(idx.devirtualized()) << hashKindName(hk);
-        }
-        Pcg32 rng(11);
-        std::vector<BlockPos> batched(ways);
-        for (int i = 0; i < 20000; i++) {
-            Addr a = rng.next64();
-            idx.positionsAll(a, batched.data());
-            for (std::uint32_t w = 0; w < ways; w++) {
-                BlockPos want = static_cast<BlockPos>(
-                    w * lines + fam[w]->hash(a));
-                ASSERT_EQ(idx.position(w, a), want)
-                    << hashKindName(hk) << " way " << w << " addr " << a;
-                ASSERT_EQ(batched[w], want)
-                    << hashKindName(hk) << " way " << w << " addr " << a;
+    struct Shape
+    {
+        std::uint32_t ways, lines;
+    };
+    const Shape shapes[] = {{4, 256},   {4, 65536}, {8, 4096},
+                            {32, 1024}, {2, 2},     {4, 1}};
+    std::vector<Addr> sample = {0, ~Addr{0}};
+    for (std::uint32_t k = 0; k < 64; k++) sample.push_back(Addr{1} << k);
+    Pcg32 rng(11);
+    for (int i = 0; i < 20000; i++) sample.push_back(rng.next64());
+    // Each insert runs a replacement walk; a prefix keeps the test fast.
+    const std::size_t arraySample = 4096;
+
+    for (const Shape& s : shapes) {
+        for (HashKind hk : kAllHashKinds) {
+            // Folded XOR needs at least one output bit.
+            if (hk == HashKind::FoldedXor && s.lines < 2) continue;
+            const std::string label = std::string(hashKindName(hk)) + " " +
+                                      std::to_string(s.ways) + "x" +
+                                      std::to_string(s.lines);
+            auto fam = makeHashFamily(hk, s.ways, s.lines, 0x5eed);
+            WayIndexer idx(fam, s.lines);
+            if (hk == HashKind::Sha1) {
+                EXPECT_FALSE(idx.devirtualized());
+                EXPECT_STREQ(idx.modeName(), "generic-virtual");
+            } else {
+                EXPECT_TRUE(idx.devirtualized()) << label;
+            }
+            ZArrayConfig cfg;
+            cfg.ways = s.ways;
+            cfg.hashKind = hk;
+            cfg.seed = 0x5eed;
+            const std::uint32_t blocks = s.ways * s.lines;
+            ZArray arr(blocks, cfg, makePolicy(PolicyKind::Lru, blocks, 1));
+
+            std::vector<BlockPos> want(s.ways), batched(s.ways),
+                listed(s.ways);
+            for (std::size_t i = 0; i < sample.size(); i++) {
+                const Addr a = sample[i];
+                for (std::uint32_t w = 0; w < s.ways; w++) {
+                    want[w] =
+                        static_cast<BlockPos>(w * s.lines + fam[w]->hash(a));
+                }
+                idx.positionsAll(a, batched.data());
+                ASSERT_EQ(arr.lookupWays(a, listed.data(), s.ways), s.ways)
+                    << label;
+                for (std::uint32_t w = 0; w < s.ways; w++) {
+                    ASSERT_EQ(idx.position(w, a), want[w])
+                        << label << " way " << w << " addr " << a;
+                    ASSERT_EQ(batched[w], want[w])
+                        << label << " way " << w << " addr " << a;
+                    ASSERT_EQ(listed[w], want[w])
+                        << label << " way " << w << " addr " << a;
+                }
+
+                // ~0 is the empty-slot tag, never a resident address.
+                if (a == kInvalidAddr || i >= arraySample) continue;
+                BlockPos resident = kInvalidPos;
+                for (BlockPos p : want) {
+                    if (arr.addrAt(p) == a) {
+                        resident = p;
+                        break;
+                    }
+                }
+                ASSERT_EQ(arr.probe(a), resident) << label << " addr " << a;
+                if (resident != kInvalidPos) continue;
+                AccessContext ctx;
+                ctx.lineAddr = a;
+                arr.insert(a, ctx);
+                const BlockPos placed = arr.probe(a);
+                ASSERT_NE(std::find(want.begin(), want.end(), placed),
+                          want.end())
+                    << label << " addr " << a;
+                ASSERT_EQ(arr.addrAt(placed), a) << label << " addr " << a;
             }
         }
     }
