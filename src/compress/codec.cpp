@@ -64,28 +64,39 @@ wordCount(std::size_t n)
  * @p Word-sized words. The base is the first word (the common BDI
  * simplification); a payload fits iff every word's signed delta from
  * the base fits DeltaBytes. Returns the encoded size, or 0 on no fit.
+ * The size is known before any delta is checked, so the encoding is
+ * written to @p dst only when it beats the raw fallback: @p dst may
+ * hold no more than maxCompressedSize(n) = kHeaderBytes + n bytes.
  */
 template <typename Word, std::size_t DeltaBytes>
 std::size_t
 tryBaseDelta(const std::uint8_t* src, std::size_t n, std::uint8_t* dst)
 {
     const std::size_t words = wordCount<Word>(n);
+    const std::size_t size =
+        kHeaderBytes + sizeof(Word) + words * DeltaBytes;
+    std::uint8_t* out = size < kHeaderBytes + n ? dst + kHeaderBytes
+                                                : nullptr;
     const Word base = paddedWord<Word>(src, n, 0);
     const std::int64_t lo = -(std::int64_t{1} << (8 * DeltaBytes - 1));
     const std::int64_t hi = (std::int64_t{1} << (8 * DeltaBytes - 1)) - 1;
-    std::size_t out = kHeaderBytes;
-    std::memcpy(dst + out, &base, sizeof(Word));
-    out += sizeof(Word);
+    if (out != nullptr) {
+        std::memcpy(out, &base, sizeof(Word));
+        out += sizeof(Word);
+    }
     for (std::size_t i = 0; i < words; i++) {
+        // Two's-complement difference: u64 words can be a full 64 bits
+        // apart, where a signed subtraction would overflow.
         const Word w = paddedWord<Word>(src, n, i);
-        const std::int64_t delta =
-            static_cast<std::int64_t>(w) - static_cast<std::int64_t>(base);
+        const auto delta = static_cast<std::int64_t>(
+            std::uint64_t{w} - std::uint64_t{base});
         if (delta < lo || delta > hi) return 0;
+        if (out == nullptr) continue; // fit check only
         const auto d = static_cast<std::uint64_t>(delta);
-        std::memcpy(dst + out, &d, DeltaBytes);
+        std::memcpy(out, &d, DeltaBytes);
         out += DeltaBytes;
     }
-    return out;
+    return size;
 }
 
 template <typename Word, std::size_t DeltaBytes>
@@ -105,9 +116,8 @@ decodeBaseDelta(const std::uint8_t* src, std::size_t n, std::uint8_t* dst,
         off += DeltaBytes;
         // Sign-extend the delta.
         const std::uint64_t sign = std::uint64_t{1} << (8 * DeltaBytes - 1);
-        std::int64_t delta = static_cast<std::int64_t>((raw ^ sign) - sign);
-        const Word w = static_cast<Word>(static_cast<std::int64_t>(base) +
-                                         delta);
+        const std::uint64_t delta = (raw ^ sign) - sign;
+        const Word w = static_cast<Word>(std::uint64_t{base} + delta);
         const std::size_t take = std::min(sizeof(Word), orig - written);
         std::memcpy(dst + written, &w, take);
         written += take;
@@ -282,13 +292,13 @@ class BdiCodec final : public Codec
         const std::size_t body_n = n - kHeaderBytes;
         bool ok = false;
         switch (static_cast<Scheme>(scheme)) {
-          case kRaw:
+          case kRaw: // orig == 0 may carry a null dst, like NullCodec
             ok = body_n == orig;
-            if (ok) std::memcpy(dst, body, orig);
+            if (ok && orig != 0) std::memcpy(dst, body, orig);
             break;
           case kZeros:
             ok = body_n == 0;
-            if (ok) std::memset(dst, 0, orig);
+            if (ok && orig != 0) std::memset(dst, 0, orig);
             break;
           case kRep8: {
             ok = body_n == 8 && orig > 0;

@@ -6,6 +6,7 @@
 
 #include "store/loadgen.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -314,6 +315,11 @@ runLoadGen(const LoadGenConfig& cfg)
     // (same prime() discipline as the sweep runner, docs/runner.md).
     WorkloadRegistry::prime();
 
+    // Each worker stamps its own start and end: the wall interval runs
+    // from the earliest start to the latest end, so it never depends on
+    // when the coordinator wakes from the barrier.
+    std::vector<Clock::time_point> starts(cfg.threads);
+    std::vector<Clock::time_point> ends(cfg.threads);
     std::barrier sync(static_cast<std::ptrdiff_t>(cfg.threads) + 1);
     std::vector<std::thread> workers;
     workers.reserve(cfg.threads);
@@ -355,7 +361,7 @@ runLoadGen(const LoadGenConfig& cfg)
             }
 
             sync.arrive_and_wait();
-            auto t0 = Clock::now();
+            const auto t0 = starts[tid] = Clock::now();
             for (std::uint64_t i = 0; i < cfg.opsPerThread; i++) {
                 std::uint64_t key = gen->next().lineAddr;
                 double u = mix.uniform();
@@ -426,17 +432,18 @@ runLoadGen(const LoadGenConfig& cfg)
                         1, std::memory_order_relaxed);
                 }
             }
-            ts.seconds =
-                std::chrono::duration<double>(Clock::now() - t0).count();
+            ends[tid] = Clock::now();
+            ts.seconds = std::chrono::duration<double>(ends[tid] - t0).count();
         });
     }
 
     if (snap) snap->start();
     sync.arrive_and_wait();
-    auto t0 = Clock::now();
     for (std::thread& w : workers) w.join();
-    result.seconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
+    result.seconds = std::chrono::duration<double>(
+                         *std::max_element(ends.begin(), ends.end()) -
+                         *std::min_element(starts.begin(), starts.end()))
+                         .count();
     double total_ops = static_cast<double>(cfg.threads) *
                        static_cast<double>(cfg.opsPerThread);
     result.opsPerSec =

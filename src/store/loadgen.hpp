@@ -245,7 +245,8 @@ struct LoadGenResult
 {
     std::vector<ThreadStats> perThread;
 
-    /** Wall time from barrier release to last worker finish. */
+    /** Wall time from the earliest worker start to the latest worker
+     *  end, each stamped by the worker itself. */
     double seconds = 0.0;
 
     /** Aggregate ops (all threads) / seconds. */

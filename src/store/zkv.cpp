@@ -6,6 +6,8 @@
 
 #include "store/zkv.hpp"
 
+#include <algorithm>
+#include <array>
 #include <utility>
 
 #include "common/fault_injection.hpp"
@@ -70,26 +72,14 @@ class ValueMirror final : public ReplacementPolicy
                            std::memory_order_relaxed);
             values_[i].store(0, std::memory_order_relaxed);
         }
-        if (bytesMode_) {
-            bytes_.resize(numBlocks());
-            rawLens_.assign(numBlocks(), 0);
-        }
+        if (bytesMode_) payloads_.resize(numBlocks());
     }
 
     void
     onInsert(BlockPos pos, const AccessContext& ctx) override
     {
         keys_[pos].store(ctx.lineAddr, std::memory_order_relaxed);
-        values_[pos].store(pending_, std::memory_order_relaxed);
-        if (bytesMode_) {
-            dropResident(pos);
-            bytes_[pos] = std::move(pendingBytes_);
-            rawLens_[pos] = pendingRawLen_;
-            comp_.residentRawBytes += rawLens_[pos];
-            comp_.residentStoredBytes += bytes_[pos].size();
-            pendingBytes_.clear();
-            pendingRawLen_ = 0;
-        }
+        commit(pos);
         inner_->onInsert(pos, ctx);
     }
 
@@ -106,12 +96,7 @@ class ValueMirror final : public ReplacementPolicy
                         std::memory_order_relaxed);
         values_[to].store(values_[from].load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
-        if (bytesMode_) {
-            bytes_[to] = std::move(bytes_[from]);
-            bytes_[from].clear();
-            rawLens_[to] = rawLens_[from];
-            rawLens_[from] = 0;
-        }
+        if (bytesMode_) payloads_[to] = std::exchange(payloads_[from], {});
         inner_->onMove(from, to);
     }
 
@@ -126,10 +111,7 @@ class ValueMirror final : public ReplacementPolicy
         std::uint64_t vb = values_[b].load(std::memory_order_relaxed);
         values_[a].store(vb, std::memory_order_relaxed);
         values_[b].store(va, std::memory_order_relaxed);
-        if (bytesMode_) {
-            std::swap(bytes_[a], bytes_[b]);
-            std::swap(rawLens_[a], rawLens_[b]);
-        }
+        if (bytesMode_) std::swap(payloads_[a], payloads_[b]);
         inner_->onSwap(a, b);
     }
 
@@ -142,9 +124,7 @@ class ValueMirror final : public ReplacementPolicy
         if (bytesMode_) {
             // PutResult reports only the evicted *key* in bytes mode —
             // the payload dies compressed, never decoded.
-            dropResident(pos);
-            bytes_[pos].clear();
-            rawLens_[pos] = 0;
+            install(pos, {});
         }
         inner_->onEvict(pos);
     }
@@ -165,8 +145,6 @@ class ValueMirror final : public ReplacementPolicy
 
     std::string name() const override { return inner_->name(); }
 
-    void setPending(std::uint64_t v) { pending_ = v; }
-
     std::uint64_t
     valueAt(BlockPos pos) const
     {
@@ -181,48 +159,40 @@ class ValueMirror final : public ReplacementPolicy
         return keys_[pos].load(std::memory_order_relaxed);
     }
 
-    void
-    setValue(BlockPos pos, std::uint64_t v)
-    {
-        values_[pos].store(v, std::memory_order_relaxed);
-    }
-
     std::uint64_t lastEvicted() const { return lastEvicted_; }
 
-    // ---- bytes mode (shard lock held for all of these) -------------
-
-    /** Stage the compressed payload for the next onInsert, counting
-     *  the compression in the shard's accounting. */
+    /**
+     * Stage the value the next commit() or onInsert installs: the u64
+     * word, or in bytes mode (@p compressed non-null) the compressed
+     * payload and its raw length, with the u64 word left 0. Shard lock
+     * held, like every bytes-mode call below.
+     */
     void
-    stagePendingBytes(std::vector<std::uint8_t> compressed,
-                      std::uint32_t rawLen)
+    stage(std::uint64_t v, std::vector<std::uint8_t>* compressed,
+          std::uint32_t rawLen)
     {
-        comp_.compressCalls++;
-        comp_.rawBytesTotal += rawLen;
-        comp_.storedBytesTotal += compressed.size();
-        pendingBytes_ = std::move(compressed);
-        pendingRawLen_ = rawLen;
+        pending_ = compressed != nullptr ? 0 : v;
+        if (compressed) pendingPayload_ = {std::move(*compressed), rawLen};
     }
 
-    /** Update-in-place twin of stagePendingBytes. */
+    /** Install the staged value at @p pos — an update in place, or an
+     *  insert via onInsert — counting a payload's compression in the
+     *  shard's accounting. */
     void
-    setValueBytes(BlockPos pos, std::vector<std::uint8_t> compressed,
-                  std::uint32_t rawLen)
+    commit(BlockPos pos)
     {
+        values_[pos].store(pending_, std::memory_order_relaxed);
+        if (!bytesMode_) return;
         comp_.compressCalls++;
-        comp_.rawBytesTotal += rawLen;
-        comp_.storedBytesTotal += compressed.size();
-        dropResident(pos);
-        bytes_[pos] = std::move(compressed);
-        rawLens_[pos] = rawLen;
-        comp_.residentRawBytes += rawLen;
-        comp_.residentStoredBytes += bytes_[pos].size();
+        comp_.rawBytesTotal += pendingPayload_.rawLen;
+        comp_.storedBytesTotal += pendingPayload_.bytes.size();
+        install(pos, std::exchange(pendingPayload_, {}));
     }
 
     const std::vector<std::uint8_t>&
     bytesAt(BlockPos pos) const
     {
-        return bytes_[pos];
+        return payloads_[pos].bytes;
     }
 
     void noteDecompress() { comp_.decompressCalls++; }
@@ -230,11 +200,23 @@ class ValueMirror final : public ReplacementPolicy
     const ZkvCompressionStats& compressionStats() const { return comp_; }
 
   private:
-    void
-    dropResident(BlockPos pos)
+    /** One position's stored payload (bytes mode). */
+    struct Payload
     {
-        comp_.residentRawBytes -= rawLens_[pos];
-        comp_.residentStoredBytes -= bytes_[pos].size();
+        std::vector<std::uint8_t> bytes; ///< as stored (post-codec)
+        std::uint32_t rawLen = 0;        ///< pre-codec length
+    };
+
+    /** Replace @p pos's payload, keeping the resident accounting. */
+    void
+    install(BlockPos pos, Payload p)
+    {
+        Payload& old = payloads_[pos];
+        comp_.residentRawBytes += p.rawLen;
+        comp_.residentRawBytes -= old.rawLen;
+        comp_.residentStoredBytes += p.bytes.size();
+        comp_.residentStoredBytes -= old.bytes.size();
+        old = std::move(p);
     }
 
     std::unique_ptr<ReplacementPolicy> inner_;
@@ -244,10 +226,8 @@ class ValueMirror final : public ReplacementPolicy
     std::uint64_t lastEvicted_ = 0;
 
     const bool bytesMode_;
-    std::vector<std::vector<std::uint8_t>> bytes_; ///< stored payloads
-    std::vector<std::uint32_t> rawLens_; ///< pre-codec length per pos
-    std::vector<std::uint8_t> pendingBytes_;
-    std::uint32_t pendingRawLen_ = 0;
+    std::vector<Payload> payloads_; ///< per position
+    Payload pendingPayload_;
     ZkvCompressionStats comp_;
 };
 
@@ -262,7 +242,7 @@ struct ZkvStore::Shard
     std::unique_ptr<CacheArray> array;
     ValueMirror* mirror = nullptr; ///< owned by array's policy chain
     ZkvShardStats stats;
-    ZkvShardObs obs; ///< written only on the instrumented op paths
+    ZkvShardObs obs; ///< written only by the SpanProbe op core
     ZkvSeqCounters seqc; ///< lock-free read-path counters (relaxed)
 
     /**
@@ -377,22 +357,458 @@ ZkvStore::shardOf(std::uint64_t key) const
                                       cfg_.shards);
 }
 
+/*
+ * ---- the op core ---------------------------------------------------
+ *
+ * Each op body is written once, as one locked step per op kind
+ * covering u64 and bytes values, the store.walk fault site, the
+ * reserved key and persist logging. One batch loop (runBatch) runs
+ * the steps, and the public single ops are one-op batches. Steps and
+ * loop are templated on a compile-time probe — the compile-away
+ * hook pattern of uszram's LOG_READ / UPDATE_CACHE (SNIPPETS.md):
+ * NoProbe's hooks are empty, SpanProbe stamps the phases, and traced
+ * and plain runs are the same code.
+ */
+
+namespace {
+
+/** Fail @p res with @p s, keeping the batch's first failure in @p why
+ *  (null when nobody reads it). Steps build a Status only to fail. */
+void
+fail(StoreBatchResult& res, Status s, Status* why)
+{
+    res.code = s.code();
+    if (why != nullptr && why->isOk()) *why = std::move(s);
+}
+
+/** A one-op put batch's outcome as put()/putBytes() report it. */
+Expected<PutResult>
+putResultOf(Status& why, const StoreBatchResult& r)
+{
+    if (r.code != ErrorCode::Ok) return std::move(why);
+    return PutResult{r.inserted,     r.evicted,    r.evictedKey,
+                     r.evictedValue, r.candidates, r.relocations};
+}
+
+/** The untraced probe: every hook but the plain lock compiles away. */
+struct NoProbe
+{
+    NoProbe(std::size_t, std::uint32_t) {}
+    void begin(std::size_t, const StoreBatchOp&) {}
+    void lockFreeDone(bool, std::uint32_t) {}
+    void lock(ShardLock& l) { l.lock(); }
+    void flag(std::uint8_t) {}
+    template <class Fn> Replacement walk(Fn insert) { return insert(); }
+    void end(ZkvShardObs&) {}
+    void publish(ObsTracer*) {}
+};
+
+/**
+ * The tracing probe: one ObsOpRecord per op plus the shard's
+ * ZkvShardObs sums. An op's span starts when its request finished
+ * frame decode (when known), so queueing up to dispatch is the `net`
+ * phase. The batch's one lock wait goes to its first locked op, and
+ * each locked op's probe phase starts where the previous op ended; a
+ * put that walks splits its locked time into probe and walk. Records
+ * reach the tracer's per-thread ring only after the lock is released.
+ */
+class SpanProbe
+{
+  public:
+    SpanProbe(std::size_t n, std::uint32_t shard)
+        : many_(n > 1 ? n : 0), recs_(n > 1 ? many_.data() : &one_), n_(n),
+          shard_(static_cast<std::uint16_t>(shard))
+    {
+    }
+    SpanProbe(const SpanProbe&) = delete;
+    SpanProbe& operator=(const SpanProbe&) = delete;
+
+    void
+    begin(std::size_t i, const StoreBatchOp& op)
+    {
+        rec_ = &recs_[i];
+        if (rec_->tsBeginNs != 0) return; // a lock-free fallback resumes
+        const std::uint64_t tDispatch =
+            !locked_ ? obsNowNs() : firstLocked_ ? tBatch_ : opStart_;
+        rec_->op = op.kind;
+        rec_->key = op.key;
+        rec_->shard = shard_;
+        rec_->tsBeginNs = op.enqueueNs != 0 && op.enqueueNs < tDispatch
+                              ? op.enqueueNs
+                              : tDispatch;
+        rec_->netNs = obsDurNs(rec_->tsBeginNs, tDispatch);
+        if (!locked_) opStart_ = tDispatch;
+    }
+
+    void
+    lockFreeDone(bool answered, std::uint32_t retries)
+    {
+        // Gets never walk, so `candidates` carries the seq retry count.
+        rec_->flags |= kObsFlagOptimistic;
+        rec_->candidates = retries;
+        if (!answered) return; // the locked pass finishes the record
+        const std::uint64_t tEnd = obsNowNs();
+        rec_->probeNs = obsDurNs(opStart_, tEnd);
+        rec_->durNs = obsDurNs(rec_->tsBeginNs, tEnd);
+    }
+
+    void
+    lock(ShardLock& l)
+    {
+        tBatch_ = obsNowNs();
+        acq_ = l.lockInstrumented();
+        // Timestamp the acquire only when it contended: an uncontended
+        // lock (~15 ns) is below the clock's resolution, so its cost
+        // folds into the first op's probe phase instead.
+        opStart_ = acq_.contended ? obsNowNs() : tBatch_;
+        locked_ = true;
+    }
+
+    void flag(std::uint8_t f) { rec_->flags |= f; }
+
+    template <class Fn>
+    Replacement
+    walk(Fn insert)
+    {
+        const std::uint64_t t0 = obsNowNs();
+        Replacement r = insert();
+        rec_->probeNs = obsDurNs(opStart_, t0);
+        rec_->walkNs = obsDurNs(t0, obsNowNs());
+        rec_->candidates = r.candidates;
+        rec_->relocations = r.relocations;
+        walked_ = true;
+        return r;
+    }
+
+    void
+    end(ZkvShardObs& o)
+    {
+        const std::uint64_t tEnd = obsNowNs();
+        // An op that did not walk folds its whole locked time into probe.
+        if (!walked_) rec_->probeNs = obsDurNs(opStart_, tEnd);
+        rec_->durNs = obsDurNs(rec_->tsBeginNs, tEnd);
+        if (firstLocked_) {
+            rec_->lockWaitNs = obsDurNs(tBatch_, opStart_);
+            o.lockAcquisitions++;
+            o.lockContended += acq_.contended ? 1 : 0;
+            o.lockSpinIters += acq_.spins;
+        }
+        o.lockWaitNs += rec_->lockWaitNs;
+        o.netNs += rec_->netNs;
+        o.probeNs += rec_->probeNs;
+        o.walkNs += rec_->walkNs;
+        o.opNs += rec_->durNs;
+        opStart_ = tEnd;
+        firstLocked_ = walked_ = false;
+    }
+
+    void
+    publish(ObsTracer* tracer)
+    {
+        if (tracer == nullptr) return;
+        ObsThreadChannel* ch = tracer->channel();
+        for (std::size_t i = 0; i < n_; i++) ch->record(recs_[i]);
+    }
+
+  private:
+    ObsOpRecord one_; ///< a single op's record: no allocation
+    std::vector<ObsOpRecord> many_;
+    ObsOpRecord* recs_;
+    ObsOpRecord* rec_ = nullptr; ///< the op being stamped
+    std::size_t n_;
+    std::uint16_t shard_;
+    ShardLock::Acquire acq_{};
+    std::uint64_t tBatch_ = 0;  ///< when the lock was requested
+    std::uint64_t opStart_ = 0; ///< where this op's probe phase starts
+    bool locked_ = false;
+    bool firstLocked_ = true;
+    bool walked_ = false;
+};
+
+} // namespace
+
+template <class Probe>
+[[gnu::always_inline]] inline void
+ZkvStore::getStep(Shard& sh, const StoreBatchOp& op, StoreBatchResult& res,
+                  Probe& probe, Status* why)
+{
+    sh.stats.gets++;
+    // An optimistic-mode get lands here as a lock-free fallback or as a
+    // get in a batch with writes, and is answered by probe, not access:
+    // optimistic gets never promote, so eviction stays a pure function
+    // of the puts and erases whichever path answers.
+    const bool optimistic = cfg_.readPath == ReadPath::Optimistic;
+    AccessContext ctx{op.key, kNoNextUse};
+    const BlockPos pos = optimistic ? sh.array->probe(op.key)
+                                    : sh.array->access(op.key, ctx);
+    if (optimistic) {
+        sh.seqc.fallback.fetch_add(1, std::memory_order_relaxed);
+        probe.flag(kObsFlagOptimistic | kObsFlagSeqFallback);
+    }
+    if (pos == kInvalidPos) return;
+    sh.stats.getHits++;
+    if (bytesMode()) {
+        const std::vector<std::uint8_t>& stored = sh.mirror->bytesAt(pos);
+        res.valueBytes.resize(cfg_.value.maxBytes);
+        sh.mirror->noteDecompress();
+        auto len_or = codec_->decompress(stored.data(), stored.size(),
+                                         res.valueBytes.data(),
+                                         res.valueBytes.size());
+        if (!len_or) {
+            // A corrupt stream (or the compress.codec fault site) fails
+            // the op with Corruption — never torn or partial bytes.
+            res.valueBytes.clear();
+            return fail(res, len_or.status(), why);
+        }
+        res.valueBytes.resize(*len_or);
+    } else {
+        res.value = sh.mirror->valueAt(pos);
+    }
+    res.hit = true;
+    probe.flag(kObsFlagHit);
+}
+
+template <class Probe>
+[[gnu::always_inline]] inline void
+ZkvStore::putStep(Shard& sh, std::uint32_t shard, const StoreBatchOp& op,
+                  std::vector<std::uint8_t>* comp, StoreBatchResult& res,
+                  Probe& probe, std::uint64_t& pseq, Status* why)
+{
+    if (op.key == kReservedKey) {
+        return fail(res,
+                    Status::invalidArgument(
+                        "zkv: key " + std::to_string(op.key) +
+                        " is reserved (array invalid-address sentinel)"),
+                    why);
+    }
+    if (bytesMode() && op.valueBytes.size() > cfg_.value.maxBytes) {
+        return fail(res,
+                    Status::invalidArgument(
+                        "zkv: value length " +
+                        std::to_string(op.valueBytes.size()) +
+                        " exceeds value.maxBytes (" +
+                        std::to_string(cfg_.value.maxBytes) + ")"),
+                    why);
+    }
+    sh.stats.puts++;
+    sh.mirror->stage(op.value, comp,
+                     static_cast<std::uint32_t>(op.valueBytes.size()));
+    AccessContext ctx{op.key, kNoNextUse};
+    const BlockPos pos = sh.array->access(op.key, ctx);
+    if (pos == kInvalidPos && ZC_INJECT_FAULT("store.walk")) {
+        return fail(res,
+                    Status::resourceExhausted(
+                        "zkv: injected relocation-walk failure (site "
+                        "store.walk, shard " +
+                        std::to_string(shard) + ")"),
+                    why);
+    }
+    if (pos != kInvalidPos) {
+        {
+            Shard::WriteSection ws(sh);
+            sh.mirror->commit(pos);
+        }
+        sh.stats.putUpdates++;
+        res.hit = true;
+        probe.flag(kObsFlagHit);
+    } else {
+        Replacement r = probe.walk([&] {
+            Shard::WriteSection ws(sh);
+            return sh.array->insert(op.key, ctx);
+        });
+        probe.flag(kObsFlagInserted);
+        res.inserted = true;
+        res.candidates = r.candidates;
+        res.relocations = r.relocations;
+        sh.stats.putInserts++;
+        sh.stats.walkCandidates += r.candidates;
+        sh.stats.relocations += r.relocations;
+        if (r.evictedValid()) {
+            // Bytes mode reports only the key: the victim's payload
+            // dies compressed, and the u64 word (evictedValue) stays 0.
+            res.evicted = true;
+            res.evictedKey = r.evictedAddr;
+            res.evictedValue = sh.mirror->lastEvicted();
+            sh.stats.evictions++;
+            probe.flag(kObsFlagEvicted);
+        }
+    }
+    if (persist_ != nullptr) {
+        // Evict-then-put is the apply order: replaying the two records
+        // leaves exactly this shard state.
+        if (res.evicted) persist_->logEvict(shard, res.evictedKey);
+        pseq = persist_->logPut(shard, op.key, op.value);
+    }
+}
+
+template <class Probe>
+[[gnu::always_inline]] inline void
+ZkvStore::eraseStep(Shard& sh, std::uint32_t shard, const StoreBatchOp& op,
+                    StoreBatchResult& res, Probe& probe, std::uint64_t& pseq)
+{
+    sh.stats.erases++;
+    bool erased = false;
+    {
+        Shard::WriteSection ws(sh);
+        erased = sh.array->invalidate(op.key);
+    }
+    if (!erased) return;
+    sh.stats.eraseHits++;
+    res.hit = true;
+    probe.flag(kObsFlagHit);
+    if (persist_ != nullptr) pseq = persist_->logErase(shard, op.key);
+}
+
+// runBatch, its steps and runOne are forced inline so each single-op
+// wrapper sees its op kind and batch size as constants: the dispatch
+// and the passes a one-op batch does not need fold away.
+template <class Probe>
+[[gnu::always_inline]] inline void
+ZkvStore::runBatch(std::uint32_t shard, std::span<const StoreBatchOp> ops,
+                   StoreBatchResult* out, Status* why)
+{
+    if (ops.empty()) return;
+    zc_assert(shard < shards_.size());
+    Shard& sh = *shards_[shard];
+    Probe probe(ops.size(), shard);
+
+    // On the optimistic read path an all-gets batch answers every get
+    // lock-free first, and only the validation failures go on to the
+    // locked pass. A batch with a put or erase runs fully locked: a get
+    // must see the writes before it in program order.
+    const bool lockFree =
+        cfg_.readPath == ReadPath::Optimistic &&
+        std::all_of(ops.begin(), ops.end(), [](const StoreBatchOp& op) {
+            return op.kind == ObsOp::Get;
+        });
+    std::vector<std::size_t> fell; // lock-free failures, in order
+    if (lockFree) {
+        std::uint64_t nHit = 0;
+        std::uint64_t nRetried = 0;
+        for (std::size_t i = 0; i < ops.size(); i++) {
+            probe.begin(i, ops[i]);
+            std::uint32_t retries = 0;
+            const bool answered = tryOptimisticGet(
+                sh, ops[i].key, retries, out[i].hit, out[i].value);
+            probe.lockFreeDone(answered, retries);
+            nRetried += retries;
+            if (!answered) {
+                fell.push_back(i);
+            } else if (out[i].hit) {
+                nHit++;
+                probe.flag(kObsFlagHit);
+            }
+        }
+        // One relaxed add per counter per batch, none when zero.
+        auto bump = [](std::atomic<std::uint64_t>& c, std::uint64_t n) {
+            if (n != 0) c.fetch_add(n, std::memory_order_relaxed);
+        };
+        bump(sh.seqc.gets, ops.size() - fell.size());
+        bump(sh.seqc.optimistic, ops.size() - fell.size());
+        bump(sh.seqc.getHits, nHit);
+        bump(sh.seqc.retried, nRetried);
+        if (fell.empty()) return probe.publish(tracer_);
+    }
+
+    // Bytes-mode put payloads are compressed before the lock (codecs are
+    // stateless), each into a stack buffer and then one of exactly its
+    // compressed size, so the lock covers only the array mutation.
+    std::unique_ptr<std::vector<std::uint8_t>[]> comp;
+    std::array<std::uint8_t, kZkvMaxValueBytes + 32> packed; // + header
+    for (std::size_t i = 0; bytesMode() && i < ops.size(); i++) {
+        const StoreBatchOp& op = ops[i];
+        // putStep fails oversize payloads, uncompressed.
+        if (op.kind != ObsOp::Put) continue;
+        if (op.valueBytes.size() > cfg_.value.maxBytes) continue;
+        if (!comp) {
+            comp = std::make_unique<std::vector<std::uint8_t>[]>(ops.size());
+        }
+        auto n_or = codec_->compress(op.valueBytes.data(),
+                                     op.valueBytes.size(), packed.data(),
+                                     packed.size());
+        zc_assert(n_or.hasValue()); // packed >= maxCompressedSize
+        comp[i].assign(packed.begin(), packed.begin() + *n_or);
+    }
+
+    std::uint64_t pseq = 0; // the batch's highest op-log seqno
+    probe.lock(sh.lock);
+    {
+        std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
+        const std::size_t n = lockFree ? fell.size() : ops.size();
+        for (std::size_t k = 0; k < n; k++) {
+            const std::size_t i = lockFree ? fell[k] : k;
+            const StoreBatchOp& op = ops[i];
+            probe.begin(i, op);
+            switch (op.kind) {
+              case ObsOp::Get:
+                getStep(sh, op, out[i], probe, why);
+                break;
+              case ObsOp::Put:
+                putStep(sh, shard, op, comp ? &comp[i] : nullptr,
+                        out[i], probe, pseq, why);
+                break;
+              case ObsOp::Erase:
+                eraseStep(sh, shard, op, out[i], probe, pseq);
+                break;
+            }
+            if (out[i].code != ErrorCode::Ok) probe.flag(kObsFlagError);
+            probe.end(sh.obs);
+        }
+    }
+    // One group-commit wait on the batch's highest seqno covers every
+    // mutation it logged, after the lock is released so the shard
+    // stays available to other threads during the fsync.
+    if (pseq != 0) {
+        if (Status s = persist_->waitDurable(shard, pseq); !s.isOk()) {
+            // The state changed but never became durable: fail every op
+            // the batch logged (successful puts, erases that hit) rather
+            // than ack writes a crash would lose.
+            for (std::size_t i = 0; i < ops.size(); i++) {
+                const bool logged =
+                    ops[i].kind == ObsOp::Put
+                        ? out[i].code == ErrorCode::Ok
+                        : ops[i].kind == ObsOp::Erase && out[i].hit;
+                if (logged) out[i].code = ErrorCode::IoError;
+            }
+            if (why != nullptr && why->isOk()) *why = std::move(s);
+        }
+    }
+    probe.publish(tracer_);
+}
+
+void
+ZkvStore::runShardBatch(std::uint32_t shard,
+                        std::span<const StoreBatchOp> ops,
+                        StoreBatchResult* out)
+{
+    // Callers may reuse result buffers; per-op codes say the rest.
+    for (std::size_t i = 0; i < ops.size(); i++) out[i] = StoreBatchResult{};
+    obsEnabled_ ? runBatch<SpanProbe>(shard, ops, out, nullptr)
+                : runBatch<NoProbe>(shard, ops, out, nullptr);
+}
+
+[[gnu::always_inline]] inline void
+ZkvStore::runOne(ObsOp kind, std::uint64_t key, StoreBatchResult& res,
+                 Status* why, std::uint64_t value,
+                 std::span<const std::uint8_t> bytes)
+{
+    StoreBatchOp op;
+    op.kind = kind;
+    op.key = key;
+    op.value = value;
+    op.valueBytes.assign(bytes.begin(), bytes.end());
+    const std::uint32_t shard = shardOf(key);
+    obsEnabled_ ? runBatch<SpanProbe>(shard, {&op, 1}, &res, why)
+                : runBatch<NoProbe>(shard, {&op, 1}, &res, why);
+}
+
 std::optional<std::uint64_t>
 ZkvStore::get(std::uint64_t key)
 {
     zc_assert(!bytesMode()); // bytes-mode callers use getBytes()
-    if (cfg_.readPath == ReadPath::Optimistic) {
-        return obsEnabled_ ? getOptimisticTraced(key) : getOptimistic(key);
-    }
-    if (obsEnabled_) return getTraced(key);
-    Shard& sh = *shards_[shardOf(key)];
-    std::lock_guard<ShardLock> g(sh.lock);
-    sh.stats.gets++;
-    AccessContext ctx{key, kNoNextUse};
-    BlockPos pos = sh.array->access(key, ctx);
-    if (pos == kInvalidPos) return std::nullopt;
-    sh.stats.getHits++;
-    return sh.mirror->valueAt(pos);
+    StoreBatchResult res;
+    runOne(ObsOp::Get, key, res, nullptr); // a u64 get cannot fail
+    return res.hit ? std::optional<std::uint64_t>(res.value) : std::nullopt;
 }
 
 Expected<PutResult>
@@ -402,112 +818,21 @@ ZkvStore::put(std::uint64_t key, std::uint64_t value)
         return Status::invalidArgument(
             "zkv: put(u64) on a bytes-mode store (use putBytes)");
     }
-    if (obsEnabled_) return putTraced(key, value);
-    if (key == kReservedKey) {
-        return Status::invalidArgument(
-            "zkv: key " + std::to_string(key) +
-            " is reserved (array invalid-address sentinel)");
-    }
-    const std::uint32_t shard = shardOf(key);
-    Shard& sh = *shards_[shard];
-    PutResult res;
-    std::uint64_t pseq = 0;
-    {
-        std::lock_guard<ShardLock> g(sh.lock);
-        sh.stats.puts++;
-        AccessContext ctx{key, kNoNextUse};
-
-        BlockPos pos = sh.array->access(key, ctx);
-        if (pos != kInvalidPos) {
-            {
-                Shard::WriteSection ws(sh);
-                sh.mirror->setValue(pos, value);
-            }
-            sh.stats.putUpdates++;
-            if (persist_ != nullptr) {
-                pseq = persist_->logPut(shard, key, value);
-            }
-        } else {
-            if (ZC_INJECT_FAULT("store.walk")) {
-                return Status::resourceExhausted(
-                    "zkv: injected relocation-walk failure (site "
-                    "store.walk, shard " +
-                    std::to_string(shard) + ")");
-            }
-            sh.mirror->setPending(value);
-            Replacement r = [&] {
-                Shard::WriteSection ws(sh);
-                return sh.array->insert(key, ctx);
-            }();
-            res.inserted = true;
-            res.candidates = r.candidates;
-            res.relocations = r.relocations;
-            sh.stats.putInserts++;
-            sh.stats.walkCandidates += r.candidates;
-            sh.stats.relocations += r.relocations;
-            if (r.evictedValid()) {
-                res.evicted = true;
-                res.evictedKey = r.evictedAddr;
-                res.evictedValue = sh.mirror->lastEvicted();
-                sh.stats.evictions++;
-            }
-            if (persist_ != nullptr) {
-                // Evict-then-put is the apply order: replaying the two
-                // records leaves exactly this shard state.
-                if (res.evicted) persist_->logEvict(shard, res.evictedKey);
-                pseq = persist_->logPut(shard, key, value);
-            }
-        }
-    }
-    // Group-commit wait happens after the lock is released so the
-    // shard stays available to other threads during the fsync.
-    if (pseq != 0) {
-        if (Status s = persist_->waitDurable(shard, pseq); !s.isOk()) {
-            return s;
-        }
-    }
-    return res;
+    StoreBatchResult res;
+    Status why;
+    runOne(ObsOp::Put, key, res, &why, value);
+    return putResultOf(why, res);
 }
 
 bool
 ZkvStore::erase(std::uint64_t key)
 {
-    if (obsEnabled_) return eraseTraced(key);
-    const std::uint32_t shard = shardOf(key);
-    Shard& sh = *shards_[shard];
-    bool hit = false;
-    std::uint64_t pseq = 0;
-    {
-        std::lock_guard<ShardLock> g(sh.lock);
-        sh.stats.erases++;
-        {
-            Shard::WriteSection ws(sh);
-            hit = sh.array->invalidate(key);
-        }
-        if (hit) {
-            sh.stats.eraseHits++;
-            if (persist_ != nullptr) pseq = persist_->logErase(shard, key);
-        }
-    }
+    StoreBatchResult res;
     // The bool API is kept: a durability failure here is sticky and
     // surfaces through the tier's counters and stopPersist().
-    if (pseq != 0) {
-        Status ignored = persist_->waitDurable(shard, pseq);
-        (void)ignored;
-    }
-    return hit;
+    runOne(ObsOp::Erase, key, res, nullptr);
+    return res.hit;
 }
-
-/*
- * ---- byte-payload values (docs/compression.md) ---------------------
- *
- * The bytes-mode single-op paths below are plain (untraced): bytes
- * mode is Locked-read-path only and the batch path — which the server
- * drives — carries the instrumentation, so per-op spans for byte
- * traffic come from runShardBatch. Compression happens outside the
- * shard lock (codecs are stateless, payloads are <= kZkvMaxValueBytes)
- * so the lock covers only the array mutation, like the u64 paths.
- */
 
 Expected<PutResult>
 ZkvStore::putBytes(std::uint64_t key, std::span<const std::uint8_t> value)
@@ -516,64 +841,10 @@ ZkvStore::putBytes(std::uint64_t key, std::span<const std::uint8_t> value)
         return Status::invalidArgument(
             "zkv: putBytes on a fixed-u64 store (set value.maxBytes)");
     }
-    if (key == kReservedKey) {
-        return Status::invalidArgument(
-            "zkv: key " + std::to_string(key) +
-            " is reserved (array invalid-address sentinel)");
-    }
-    if (value.size() > cfg_.value.maxBytes) {
-        return Status::invalidArgument(
-            "zkv: value length " + std::to_string(value.size()) +
-            " exceeds value.maxBytes (" +
-            std::to_string(cfg_.value.maxBytes) + ")");
-    }
-    const auto rawLen = static_cast<std::uint32_t>(value.size());
-    std::vector<std::uint8_t> comp(codec_->maxCompressedSize(value.size()));
-    auto n_or = codec_->compress(value.data(), value.size(), comp.data(),
-                                 comp.size());
-    zc_assert(n_or.hasValue()); // comp is maxCompressedSize-sized
-    comp.resize(*n_or);
-
-    const std::uint32_t shard = shardOf(key);
-    Shard& sh = *shards_[shard];
-    PutResult res;
-    std::lock_guard<ShardLock> g(sh.lock);
-    sh.stats.puts++;
-    AccessContext ctx{key, kNoNextUse};
-    BlockPos pos = sh.array->access(key, ctx);
-    if (pos != kInvalidPos) {
-        {
-            Shard::WriteSection ws(sh);
-            sh.mirror->setValueBytes(pos, std::move(comp), rawLen);
-        }
-        sh.stats.putUpdates++;
-        return res;
-    }
-    if (ZC_INJECT_FAULT("store.walk")) {
-        return Status::resourceExhausted(
-            "zkv: injected relocation-walk failure (site store.walk, "
-            "shard " +
-            std::to_string(shard) + ")");
-    }
-    sh.mirror->stagePendingBytes(std::move(comp), rawLen);
-    Replacement r = [&] {
-        Shard::WriteSection ws(sh);
-        return sh.array->insert(key, ctx);
-    }();
-    res.inserted = true;
-    res.candidates = r.candidates;
-    res.relocations = r.relocations;
-    sh.stats.putInserts++;
-    sh.stats.walkCandidates += r.candidates;
-    sh.stats.relocations += r.relocations;
-    if (r.evictedValid()) {
-        // Only the key: the victim's payload dies compressed
-        // (PutResult::evictedValue stays 0 in bytes mode).
-        res.evicted = true;
-        res.evictedKey = r.evictedAddr;
-        sh.stats.evictions++;
-    }
-    return res;
+    StoreBatchResult res;
+    Status why;
+    runOne(ObsOp::Put, key, res, &why, 0, value);
+    return putResultOf(why, res);
 }
 
 Expected<std::optional<std::vector<std::uint8_t>>>
@@ -583,26 +854,12 @@ ZkvStore::getBytes(std::uint64_t key)
         return Status::invalidArgument(
             "zkv: getBytes on a fixed-u64 store (set value.maxBytes)");
     }
-    Shard& sh = *shards_[shardOf(key)];
-    std::lock_guard<ShardLock> g(sh.lock);
-    sh.stats.gets++;
-    AccessContext ctx{key, kNoNextUse};
-    BlockPos pos = sh.array->access(key, ctx);
-    if (pos == kInvalidPos) {
-        return std::optional<std::vector<std::uint8_t>>{};
-    }
-    sh.stats.getHits++;
-    const std::vector<std::uint8_t>& stored = sh.mirror->bytesAt(pos);
-    std::vector<std::uint8_t> out(cfg_.value.maxBytes);
-    sh.mirror->noteDecompress();
-    auto len_or = codec_->decompress(stored.data(), stored.size(),
-                                     out.data(), out.size());
-    // A decode failure (corrupt stream, or the compress.codec fault
-    // site) surfaces as the codec's Corruption status — the caller
-    // never sees torn or partial bytes.
-    if (!len_or) return len_or.status();
-    out.resize(*len_or);
-    return std::optional<std::vector<std::uint8_t>>(std::move(out));
+    StoreBatchResult res;
+    Status why;
+    runOne(ObsOp::Get, key, res, &why);
+    if (!why.isOk()) return why;
+    using Bytes = std::optional<std::vector<std::uint8_t>>;
+    return res.hit ? Bytes(std::move(res.valueBytes)) : Bytes();
 }
 
 ZkvCompressionStats
@@ -616,282 +873,6 @@ ZkvStore::compressionTotals() const
     return t;
 }
 
-void
-ZkvStore::runShardBatch(std::uint32_t shard,
-                        std::span<const StoreBatchOp> ops,
-                        StoreBatchResult* out)
-{
-    if (ops.empty()) return;
-    zc_assert(shard < shards_.size());
-
-    if (cfg_.readPath == ReadPath::Optimistic) {
-        bool allGets = true;
-        for (const StoreBatchOp& op : ops) {
-            if (op.kind != ObsOp::Get) {
-                allGets = false;
-                break;
-            }
-        }
-        // Only a pure-get batch may go lock-free: a put between two
-        // gets must stay ordered with them, so mixed batches keep the
-        // one-lock in-order execution below.
-        if (allGets) {
-            runShardBatchGetsOptimistic(shard, ops, out);
-            return;
-        }
-    }
-
-    Shard& sh = *shards_[shard];
-
-    const bool traced = obsEnabled_;
-    // Records are filled under the lock but pushed to the tracer only
-    // after it is released, like the single-op traced paths.
-    std::vector<ObsOpRecord> recs;
-    if (traced && tracer_ != nullptr) recs.reserve(ops.size());
-
-    // Mutations logged to the durability tier this batch: one wait on
-    // the batch's highest seqno covers them all (seqnos are assigned
-    // in queue order under the lock held below).
-    std::uint64_t persistSeq = 0;
-    std::vector<std::size_t> persistIdx;
-
-    std::uint64_t tBatch = 0;
-    ShardLock::Acquire acq{};
-    if (traced) {
-        tBatch = obsNowNs();
-        acq = sh.lock.lockInstrumented();
-    } else {
-        sh.lock.lock();
-    }
-    std::uint64_t tLocked =
-        traced ? (acq.contended ? obsNowNs() : tBatch) : 0;
-    {
-        std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
-        // Insert bookkeeping shared by the traced and plain put arms.
-        auto applyInsert = [&sh](const Replacement& r,
-                                 StoreBatchResult& res, ObsOpRecord& rec) {
-            res.inserted = true;
-            res.candidates = r.candidates;
-            res.relocations = r.relocations;
-            rec.flags |= kObsFlagInserted;
-            sh.stats.putInserts++;
-            sh.stats.walkCandidates += r.candidates;
-            sh.stats.relocations += r.relocations;
-            if (r.evictedValid()) {
-                res.evicted = true;
-                res.evictedKey = r.evictedAddr;
-                res.evictedValue = sh.mirror->lastEvicted();
-                sh.stats.evictions++;
-                rec.flags |= kObsFlagEvicted;
-            }
-        };
-        std::uint64_t cursor = tLocked;
-        for (std::size_t i = 0; i < ops.size(); i++) {
-            const StoreBatchOp& op = ops[i];
-            StoreBatchResult& res = out[i];
-            res = StoreBatchResult{};
-
-            ObsOpRecord rec;
-            rec.op = op.kind;
-            rec.key = op.key;
-            rec.shard = static_cast<std::uint16_t>(shard);
-            if (traced) {
-                // The op span starts when the request finished frame
-                // decode (when known): queueing up to dispatch is the
-                // `net` phase, the batch's one lock wait is attributed
-                // to its first op, and later ops' probe phases start
-                // where the previous op ended.
-                std::uint64_t tDispatch = i == 0 ? tBatch : cursor;
-                rec.tsBeginNs =
-                    op.enqueueNs != 0 && op.enqueueNs < tDispatch
-                        ? op.enqueueNs
-                        : tDispatch;
-                rec.netNs = obsDurNs(rec.tsBeginNs, tDispatch);
-                if (i == 0 && acq.contended) {
-                    rec.lockWaitNs = obsDurNs(tBatch, tLocked);
-                }
-            }
-
-            AccessContext ctx{op.key, kNoNextUse};
-            switch (op.kind) {
-              case ObsOp::Get: {
-                sh.stats.gets++;
-                BlockPos pos = sh.array->access(op.key, ctx);
-                if (pos != kInvalidPos) {
-                    sh.stats.getHits++;
-                    if (bytesMode()) {
-                        const std::vector<std::uint8_t>& stored =
-                            sh.mirror->bytesAt(pos);
-                        std::vector<std::uint8_t> outv(
-                            cfg_.value.maxBytes);
-                        sh.mirror->noteDecompress();
-                        auto len_or = codec_->decompress(
-                            stored.data(), stored.size(), outv.data(),
-                            outv.size());
-                        if (!len_or) {
-                            // Corrupt stream (or the compress.codec
-                            // fault site): structured failure, never
-                            // torn bytes.
-                            res.code = ErrorCode::Corruption;
-                            rec.flags |= kObsFlagError;
-                            break;
-                        }
-                        outv.resize(*len_or);
-                        res.valueBytes = std::move(outv);
-                    } else {
-                        res.value = sh.mirror->valueAt(pos);
-                    }
-                    res.hit = true;
-                    rec.flags |= kObsFlagHit;
-                }
-                break;
-              }
-              case ObsOp::Put: {
-                if (op.key == kReservedKey) {
-                    res.code = ErrorCode::InvalidArgument;
-                    rec.flags |= kObsFlagError;
-                    break;
-                }
-                const bool bytes = bytesMode();
-                if (bytes &&
-                    op.valueBytes.size() > cfg_.value.maxBytes) {
-                    res.code = ErrorCode::InvalidArgument;
-                    rec.flags |= kObsFlagError;
-                    break;
-                }
-                sh.stats.puts++;
-                std::vector<std::uint8_t> comp;
-                if (bytes) {
-                    comp.resize(codec_->maxCompressedSize(
-                        op.valueBytes.size()));
-                    auto n_or = codec_->compress(
-                        op.valueBytes.data(), op.valueBytes.size(),
-                        comp.data(), comp.size());
-                    zc_assert(n_or.hasValue());
-                    comp.resize(*n_or);
-                }
-                const auto rawLen =
-                    static_cast<std::uint32_t>(op.valueBytes.size());
-                std::uint64_t tProbe0 = traced ? obsNowNs() : 0;
-                BlockPos pos = sh.array->access(op.key, ctx);
-                if (pos != kInvalidPos) {
-                    {
-                        Shard::WriteSection ws(sh);
-                        if (bytes) {
-                            sh.mirror->setValueBytes(pos, std::move(comp),
-                                                     rawLen);
-                        } else {
-                            sh.mirror->setValue(pos, op.value);
-                        }
-                    }
-                    sh.stats.putUpdates++;
-                    res.hit = true;
-                    rec.flags |= kObsFlagHit;
-                    if (persist_ != nullptr) {
-                        persistSeq =
-                            persist_->logPut(shard, op.key, op.value);
-                        persistIdx.push_back(i);
-                    }
-                    break;
-                }
-                if (ZC_INJECT_FAULT("store.walk")) {
-                    res.code = ErrorCode::ResourceExhausted;
-                    rec.flags |= kObsFlagError;
-                    break;
-                }
-                if (bytes) {
-                    sh.mirror->stagePendingBytes(std::move(comp), rawLen);
-                } else {
-                    sh.mirror->setPending(op.value);
-                }
-                if (traced) {
-                    std::uint64_t tWalk0 = obsNowNs();
-                    rec.probeNs = obsDurNs(tProbe0, tWalk0);
-                    Replacement r = [&] {
-                        Shard::WriteSection ws(sh);
-                        return sh.array->insert(op.key, ctx);
-                    }();
-                    rec.walkNs = obsDurNs(tWalk0, obsNowNs());
-                    rec.candidates = r.candidates;
-                    rec.relocations = r.relocations;
-                    applyInsert(r, res, rec);
-                } else {
-                    Replacement r = [&] {
-                        Shard::WriteSection ws(sh);
-                        return sh.array->insert(op.key, ctx);
-                    }();
-                    applyInsert(r, res, rec);
-                }
-                if (persist_ != nullptr) {
-                    if (res.evicted) {
-                        persist_->logEvict(shard, res.evictedKey);
-                    }
-                    persistSeq = persist_->logPut(shard, op.key, op.value);
-                    persistIdx.push_back(i);
-                }
-                break;
-              }
-              case ObsOp::Erase: {
-                sh.stats.erases++;
-                bool erased = false;
-                {
-                    Shard::WriteSection ws(sh);
-                    erased = sh.array->invalidate(op.key);
-                }
-                if (erased) {
-                    sh.stats.eraseHits++;
-                    res.hit = true;
-                    rec.flags |= kObsFlagHit;
-                    if (persist_ != nullptr) {
-                        persistSeq = persist_->logErase(shard, op.key);
-                        persistIdx.push_back(i);
-                    }
-                }
-                break;
-              }
-            }
-
-            if (traced) {
-                std::uint64_t tEnd = obsNowNs();
-                // The put path above measured probe/walk itself; the
-                // other ops fold their whole locked section into probe.
-                if (rec.probeNs == 0 && rec.walkNs == 0) {
-                    std::uint64_t tOpStart = i == 0 ? tLocked : cursor;
-                    rec.probeNs = obsDurNs(tOpStart, tEnd);
-                }
-                rec.durNs = obsDurNs(rec.tsBeginNs, tEnd);
-                cursor = tEnd;
-                sh.obs.lockAcquisitions += i == 0 ? 1 : 0;
-                sh.obs.lockContended += i == 0 && acq.contended ? 1 : 0;
-                sh.obs.lockSpinIters += i == 0 ? acq.spins : 0;
-                sh.obs.lockWaitNs += rec.lockWaitNs;
-                sh.obs.netNs += rec.netNs;
-                sh.obs.probeNs += rec.probeNs;
-                sh.obs.walkNs += rec.walkNs;
-                sh.obs.opNs += rec.durNs;
-                if (tracer_ != nullptr) recs.push_back(rec);
-            }
-        }
-    }
-    // Group-commit wait after the lock is released: one wait on the
-    // batch's highest seqno covers every mutation it logged.
-    if (persistSeq != 0) {
-        if (Status s = persist_->waitDurable(shard, persistSeq);
-            !s.isOk()) {
-            // The state changed but never became durable — surface a
-            // structured failure on each op this batch logged rather
-            // than acking writes a crash would lose.
-            for (std::size_t i : persistIdx) {
-                out[i].code = ErrorCode::IoError;
-            }
-        }
-    }
-    if (!recs.empty()) {
-        ObsThreadChannel* ch = tracer_->channel();
-        for (const ObsOpRecord& r : recs) ch->record(r);
-    }
-}
-
 /*
  * ---- optimistic read path (ReadPath::Optimistic, docs/store.md) ----
  *
@@ -901,7 +882,7 @@ ZkvStore::runShardBatch(std::uint32_t shard,
  * and scans the ValueMirror's relaxed atomic key/value mirrors between
  * a ShardSeq readBegin/readValidate pair. Any overlap with a writer's
  * odd window discards the snapshot and retries; after
- * kSeqGetMaxRetries the get is answered under the shard lock. Neither
+ * kSeqGetMaxRetries the get is answered by the locked get step. Neither
  * path promotes the hit in the replacement policy — an optimistic-mode
  * shard's eviction order is a pure function of its put/erase sequence,
  * whichever path answers a get.
@@ -942,234 +923,6 @@ ZkvStore::tryOptimisticGet(Shard& sh, std::uint64_t key,
     return false;
 }
 
-std::optional<std::uint64_t>
-ZkvStore::getOptimistic(std::uint64_t key)
-{
-    Shard& sh = *shards_[shardOf(key)];
-    std::uint32_t retries = 0;
-    bool hit = false;
-    std::uint64_t value = 0;
-    if (tryOptimisticGet(sh, key, retries, hit, value)) {
-        sh.seqc.gets.fetch_add(1, std::memory_order_relaxed);
-        sh.seqc.optimistic.fetch_add(1, std::memory_order_relaxed);
-        if (hit) sh.seqc.getHits.fetch_add(1, std::memory_order_relaxed);
-        if (retries != 0) {
-            sh.seqc.retried.fetch_add(retries, std::memory_order_relaxed);
-        }
-        if (hit) return value;
-        return std::nullopt;
-    }
-    // Locked fallback — still no policy promotion (probe, not access):
-    // a get's semantics must not depend on which path answered it.
-    sh.seqc.fallback.fetch_add(1, std::memory_order_relaxed);
-    sh.seqc.retried.fetch_add(retries, std::memory_order_relaxed);
-    std::lock_guard<ShardLock> g(sh.lock);
-    sh.stats.gets++;
-    BlockPos pos = sh.array->probe(key);
-    if (pos == kInvalidPos) return std::nullopt;
-    sh.stats.getHits++;
-    return sh.mirror->valueAt(pos);
-}
-
-std::optional<std::uint64_t>
-ZkvStore::getOptimisticTraced(std::uint64_t key)
-{
-    ObsOpRecord rec;
-    rec.op = ObsOp::Get;
-    rec.key = key;
-    const std::uint32_t shard = shardOf(key);
-    rec.shard = static_cast<std::uint16_t>(shard);
-    rec.flags |= kObsFlagOptimistic;
-    rec.tsBeginNs = obsNowNs();
-
-    Shard& sh = *shards_[shard];
-    std::uint32_t retries = 0;
-    bool hit = false;
-    std::uint64_t value = 0;
-    if (tryOptimisticGet(sh, key, retries, hit, value)) {
-        std::uint64_t tEnd = obsNowNs();
-        rec.durNs = obsDurNs(rec.tsBeginNs, tEnd);
-        // The whole lock-free op is one probe; gets never walk, so the
-        // candidates field carries the seq retry count instead.
-        rec.probeNs = rec.durNs;
-        rec.candidates = retries;
-        if (hit) rec.flags |= kObsFlagHit;
-        sh.seqc.gets.fetch_add(1, std::memory_order_relaxed);
-        sh.seqc.optimistic.fetch_add(1, std::memory_order_relaxed);
-        if (hit) sh.seqc.getHits.fetch_add(1, std::memory_order_relaxed);
-        if (retries != 0) {
-            sh.seqc.retried.fetch_add(retries, std::memory_order_relaxed);
-        }
-        // No sh.obs ns attribution without the lock; the record itself
-        // carries the timing and the tracer ring is per-thread SPSC.
-        if (tracer_ != nullptr) tracer_->channel()->record(rec);
-        if (hit) return value;
-        return std::nullopt;
-    }
-
-    rec.flags |= kObsFlagSeqFallback;
-    rec.candidates = retries;
-    sh.seqc.fallback.fetch_add(1, std::memory_order_relaxed);
-    sh.seqc.retried.fetch_add(retries, std::memory_order_relaxed);
-
-    std::uint64_t tLockStart = obsNowNs();
-    ShardLock::Acquire acq = sh.lock.lockInstrumented();
-    std::uint64_t tLocked = acq.contended ? obsNowNs() : tLockStart;
-    if (acq.contended) rec.lockWaitNs = obsDurNs(tLockStart, tLocked);
-
-    std::optional<std::uint64_t> out;
-    {
-        std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
-        sh.stats.gets++;
-        BlockPos pos = sh.array->probe(key);
-        std::uint64_t tProbed = obsNowNs();
-        rec.probeNs = obsDurNs(tLocked, tProbed);
-        if (pos != kInvalidPos) {
-            sh.stats.getHits++;
-            rec.flags |= kObsFlagHit;
-            out = sh.mirror->valueAt(pos);
-        }
-        rec.durNs = obsDurNs(rec.tsBeginNs, tProbed);
-        sh.obs.lockAcquisitions++;
-        sh.obs.lockContended += acq.contended ? 1 : 0;
-        sh.obs.lockSpinIters += acq.spins;
-        sh.obs.lockWaitNs += rec.lockWaitNs;
-        sh.obs.probeNs += rec.probeNs;
-        sh.obs.opNs += rec.durNs;
-    }
-    if (tracer_ != nullptr) tracer_->channel()->record(rec);
-    return out;
-}
-
-void
-ZkvStore::runShardBatchGetsOptimistic(std::uint32_t shard,
-                                      std::span<const StoreBatchOp> ops,
-                                      StoreBatchResult* out)
-{
-    Shard& sh = *shards_[shard];
-    const bool traced = obsEnabled_;
-
-    std::vector<ObsOpRecord> recs;
-    if (traced) recs.resize(ops.size());
-
-    // Pass 1: every get tries the lock-free path on its own; the rare
-    // failures queue up for one shared lock acquisition below.
-    std::vector<std::size_t> fell;
-    std::uint64_t nOk = 0;
-    std::uint64_t nHit = 0;
-    std::uint64_t nRetried = 0;
-    for (std::size_t i = 0; i < ops.size(); i++) {
-        const StoreBatchOp& op = ops[i];
-        StoreBatchResult& res = out[i];
-        res = StoreBatchResult{};
-
-        std::uint64_t t0 = 0;
-        if (traced) {
-            ObsOpRecord& rec = recs[i];
-            rec.op = ObsOp::Get;
-            rec.key = op.key;
-            rec.shard = static_cast<std::uint16_t>(shard);
-            rec.flags |= kObsFlagOptimistic;
-            t0 = obsNowNs();
-            rec.tsBeginNs =
-                op.enqueueNs != 0 && op.enqueueNs < t0 ? op.enqueueNs : t0;
-            rec.netNs = obsDurNs(rec.tsBeginNs, t0);
-        }
-
-        std::uint32_t retries = 0;
-        bool hit = false;
-        std::uint64_t value = 0;
-        if (tryOptimisticGet(sh, op.key, retries, hit, value)) {
-            nOk++;
-            nRetried += retries;
-            if (hit) {
-                nHit++;
-                res.hit = true;
-                res.value = value;
-            }
-            if (traced) {
-                ObsOpRecord& rec = recs[i];
-                std::uint64_t tEnd = obsNowNs();
-                rec.probeNs = obsDurNs(t0, tEnd);
-                rec.durNs = obsDurNs(rec.tsBeginNs, tEnd);
-                rec.candidates = retries;
-                if (hit) rec.flags |= kObsFlagHit;
-            }
-        } else {
-            nRetried += retries;
-            fell.push_back(i);
-            if (traced) {
-                ObsOpRecord& rec = recs[i];
-                rec.flags |= kObsFlagSeqFallback;
-                rec.candidates = retries;
-            }
-        }
-    }
-    if (nOk != 0) {
-        sh.seqc.gets.fetch_add(nOk, std::memory_order_relaxed);
-        sh.seqc.optimistic.fetch_add(nOk, std::memory_order_relaxed);
-    }
-    if (nHit != 0) {
-        sh.seqc.getHits.fetch_add(nHit, std::memory_order_relaxed);
-    }
-    if (nRetried != 0) {
-        sh.seqc.retried.fetch_add(nRetried, std::memory_order_relaxed);
-    }
-
-    // Pass 2: answer the fallbacks in order under one lock. probe(),
-    // not access() — optimistic-mode gets never promote.
-    if (!fell.empty()) {
-        sh.seqc.fallback.fetch_add(fell.size(), std::memory_order_relaxed);
-        std::uint64_t tBatch = 0;
-        ShardLock::Acquire acq{};
-        if (traced) {
-            tBatch = obsNowNs();
-            acq = sh.lock.lockInstrumented();
-        } else {
-            sh.lock.lock();
-        }
-        std::uint64_t tLocked =
-            traced ? (acq.contended ? obsNowNs() : tBatch) : 0;
-        {
-            std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
-            std::uint64_t cursor = tLocked;
-            for (std::size_t n = 0; n < fell.size(); n++) {
-                const std::size_t i = fell[n];
-                sh.stats.gets++;
-                BlockPos pos = sh.array->probe(ops[i].key);
-                if (pos != kInvalidPos) {
-                    sh.stats.getHits++;
-                    out[i].hit = true;
-                    out[i].value = sh.mirror->valueAt(pos);
-                }
-                if (traced) {
-                    ObsOpRecord& rec = recs[i];
-                    std::uint64_t tEnd = obsNowNs();
-                    if (n == 0 && acq.contended) {
-                        rec.lockWaitNs = obsDurNs(tBatch, tLocked);
-                    }
-                    rec.probeNs = obsDurNs(cursor, tEnd);
-                    rec.durNs = obsDurNs(rec.tsBeginNs, tEnd);
-                    if (out[i].hit) rec.flags |= kObsFlagHit;
-                    cursor = tEnd;
-                    sh.obs.lockAcquisitions += n == 0 ? 1 : 0;
-                    sh.obs.lockContended += n == 0 && acq.contended ? 1 : 0;
-                    sh.obs.lockSpinIters += n == 0 ? acq.spins : 0;
-                    sh.obs.lockWaitNs += rec.lockWaitNs;
-                    sh.obs.netNs += rec.netNs;
-                    sh.obs.probeNs += rec.probeNs;
-                    sh.obs.opNs += rec.durNs;
-                }
-            }
-        }
-    }
-
-    if (traced && tracer_ != nullptr) {
-        ObsThreadChannel* ch = tracer_->channel();
-        for (const ObsOpRecord& r : recs) ch->record(r);
-    }
-}
-
 void
 ZkvStore::enableObs(ObsTracer* tracer)
 {
@@ -1193,8 +946,7 @@ ZkvStore::shardObs(std::uint32_t shard) const
     ZkvShardObs o = sh.obs;
     // Fold the lock-free read-path counters into the snapshot; the
     // plain fields in sh.obs stay zero (no writer without the lock).
-    o.getOptimistic +=
-        sh.seqc.optimistic.load(std::memory_order_relaxed);
+    o.getOptimistic += sh.seqc.optimistic.load(std::memory_order_relaxed);
     o.getRetried += sh.seqc.retried.load(std::memory_order_relaxed);
     o.getFallback += sh.seqc.fallback.load(std::memory_order_relaxed);
     return o;
@@ -1204,225 +956,8 @@ ZkvShardObs
 ZkvStore::obsTotals() const
 {
     ZkvShardObs t;
-    for (std::uint32_t i = 0; i < shards_.size(); i++) {
-        t.add(shardObs(i));
-    }
+    for (std::uint32_t i = 0; i < shards_.size(); i++) t.add(shardObs(i));
     return t;
-}
-
-/*
- * The traced twins below mirror the plain paths exactly — same stats,
- * same fault sites, same array calls — plus timestamps at the phase
- * boundaries (lock acquired, probe done, walk done), the per-shard
- * attribution counters, and one ObsOpRecord pushed to the tracer's
- * per-thread ring after the shard lock is released. Keep any
- * behavioral change to the plain paths in sync here (the equivalence
- * test in tests/test_obs.cpp compares the two paths' results).
- */
-
-std::optional<std::uint64_t>
-ZkvStore::getTraced(std::uint64_t key)
-{
-    ObsOpRecord rec;
-    rec.op = ObsOp::Get;
-    rec.key = key;
-    std::uint32_t shard = shardOf(key);
-    rec.shard = static_cast<std::uint16_t>(shard);
-    rec.tsBeginNs = obsNowNs();
-
-    Shard& sh = *shards_[shard];
-    ShardLock::Acquire acq = sh.lock.lockInstrumented();
-    // Timestamp the acquire only when it contended: an uncontended
-    // lock costs ~15 ns, below the clock's own resolution, and
-    // skipping the read saves one of the 3-4 timestamps per op
-    // (docs/telemetry.md overhead table). The acquire cost folds into
-    // the probe phase in that case.
-    std::uint64_t tLocked = acq.contended ? obsNowNs() : rec.tsBeginNs;
-    if (acq.contended) {
-        rec.lockWaitNs = obsDurNs(rec.tsBeginNs, tLocked);
-    }
-
-    std::optional<std::uint64_t> out;
-    {
-        std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
-        sh.stats.gets++;
-        AccessContext ctx{key, kNoNextUse};
-        BlockPos pos = sh.array->access(key, ctx);
-        std::uint64_t tProbed = obsNowNs();
-        rec.probeNs = obsDurNs(tLocked, tProbed);
-        if (pos != kInvalidPos) {
-            sh.stats.getHits++;
-            rec.flags |= kObsFlagHit;
-            out = sh.mirror->valueAt(pos);
-        }
-        rec.durNs = obsDurNs(rec.tsBeginNs, tProbed);
-        sh.obs.lockAcquisitions++;
-        sh.obs.lockContended += acq.contended ? 1 : 0;
-        sh.obs.lockSpinIters += acq.spins;
-        sh.obs.lockWaitNs += rec.lockWaitNs;
-        sh.obs.probeNs += rec.probeNs;
-        sh.obs.opNs += rec.durNs;
-    }
-    if (tracer_ != nullptr) tracer_->channel()->record(rec);
-    return out;
-}
-
-Expected<PutResult>
-ZkvStore::putTraced(std::uint64_t key, std::uint64_t value)
-{
-    if (key == kReservedKey) {
-        return Status::invalidArgument(
-            "zkv: key " + std::to_string(key) +
-            " is reserved (array invalid-address sentinel)");
-    }
-    ObsOpRecord rec;
-    rec.op = ObsOp::Put;
-    rec.key = key;
-    std::uint32_t shard = shardOf(key);
-    rec.shard = static_cast<std::uint16_t>(shard);
-    rec.tsBeginNs = obsNowNs();
-
-    Shard& sh = *shards_[shard];
-    ShardLock::Acquire acq = sh.lock.lockInstrumented();
-    // Timestamp the acquire only when it contended: an uncontended
-    // lock costs ~15 ns, below the clock's own resolution, and
-    // skipping the read saves one of the 3-4 timestamps per op
-    // (docs/telemetry.md overhead table). The acquire cost folds into
-    // the probe phase in that case.
-    std::uint64_t tLocked = acq.contended ? obsNowNs() : rec.tsBeginNs;
-    if (acq.contended) {
-        rec.lockWaitNs = obsDurNs(rec.tsBeginNs, tLocked);
-    }
-
-    Expected<PutResult> out = PutResult{};
-    std::uint64_t pseq = 0;
-    {
-        std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
-        sh.stats.puts++;
-        AccessContext ctx{key, kNoNextUse};
-        BlockPos pos = sh.array->access(key, ctx);
-        std::uint64_t tProbed = obsNowNs();
-        rec.probeNs = obsDurNs(tLocked, tProbed);
-
-        std::uint64_t tEnd = tProbed;
-        if (pos != kInvalidPos) {
-            {
-                Shard::WriteSection ws(sh);
-                sh.mirror->setValue(pos, value);
-            }
-            sh.stats.putUpdates++;
-            rec.flags |= kObsFlagHit;
-            if (persist_ != nullptr) {
-                pseq = persist_->logPut(shard, key, value);
-            }
-        } else if (ZC_INJECT_FAULT("store.walk")) {
-            out = Status::resourceExhausted(
-                "zkv: injected relocation-walk failure (site store.walk, "
-                "shard " +
-                std::to_string(shard) + ")");
-            rec.flags |= kObsFlagError;
-        } else {
-            sh.mirror->setPending(value);
-            Replacement r = [&] {
-                Shard::WriteSection ws(sh);
-                return sh.array->insert(key, ctx);
-            }();
-            tEnd = obsNowNs();
-            rec.walkNs = obsDurNs(tProbed, tEnd);
-            rec.candidates = r.candidates;
-            rec.relocations = r.relocations;
-            rec.flags |= kObsFlagInserted;
-            PutResult& res = *out;
-            res.inserted = true;
-            res.candidates = r.candidates;
-            res.relocations = r.relocations;
-            sh.stats.putInserts++;
-            sh.stats.walkCandidates += r.candidates;
-            sh.stats.relocations += r.relocations;
-            if (r.evictedValid()) {
-                res.evicted = true;
-                res.evictedKey = r.evictedAddr;
-                res.evictedValue = sh.mirror->lastEvicted();
-                sh.stats.evictions++;
-                rec.flags |= kObsFlagEvicted;
-            }
-            if (persist_ != nullptr) {
-                if (res.evicted) persist_->logEvict(shard, res.evictedKey);
-                pseq = persist_->logPut(shard, key, value);
-            }
-        }
-        rec.durNs = obsDurNs(rec.tsBeginNs, tEnd);
-        sh.obs.lockAcquisitions++;
-        sh.obs.lockContended += acq.contended ? 1 : 0;
-        sh.obs.lockSpinIters += acq.spins;
-        sh.obs.lockWaitNs += rec.lockWaitNs;
-        sh.obs.probeNs += rec.probeNs;
-        sh.obs.walkNs += rec.walkNs;
-        sh.obs.opNs += rec.durNs;
-    }
-    if (tracer_ != nullptr) tracer_->channel()->record(rec);
-    if (pseq != 0) {
-        if (Status s = persist_->waitDurable(shard, pseq); !s.isOk()) {
-            return s;
-        }
-    }
-    return out;
-}
-
-bool
-ZkvStore::eraseTraced(std::uint64_t key)
-{
-    ObsOpRecord rec;
-    rec.op = ObsOp::Erase;
-    rec.key = key;
-    std::uint32_t shard = shardOf(key);
-    rec.shard = static_cast<std::uint16_t>(shard);
-    rec.tsBeginNs = obsNowNs();
-
-    Shard& sh = *shards_[shard];
-    ShardLock::Acquire acq = sh.lock.lockInstrumented();
-    // Timestamp the acquire only when it contended: an uncontended
-    // lock costs ~15 ns, below the clock's own resolution, and
-    // skipping the read saves one of the 3-4 timestamps per op
-    // (docs/telemetry.md overhead table). The acquire cost folds into
-    // the probe phase in that case.
-    std::uint64_t tLocked = acq.contended ? obsNowNs() : rec.tsBeginNs;
-    if (acq.contended) {
-        rec.lockWaitNs = obsDurNs(rec.tsBeginNs, tLocked);
-    }
-
-    bool hit = false;
-    std::uint64_t pseq = 0;
-    {
-        std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
-        sh.stats.erases++;
-        {
-            Shard::WriteSection ws(sh);
-            hit = sh.array->invalidate(key);
-        }
-        std::uint64_t tEnd = obsNowNs();
-        rec.probeNs = obsDurNs(tLocked, tEnd);
-        if (hit) {
-            sh.stats.eraseHits++;
-            rec.flags |= kObsFlagHit;
-            if (persist_ != nullptr) pseq = persist_->logErase(shard, key);
-        }
-        rec.durNs = obsDurNs(rec.tsBeginNs, tEnd);
-        sh.obs.lockAcquisitions++;
-        sh.obs.lockContended += acq.contended ? 1 : 0;
-        sh.obs.lockSpinIters += acq.spins;
-        sh.obs.lockWaitNs += rec.lockWaitNs;
-        sh.obs.probeNs += rec.probeNs;
-        sh.obs.opNs += rec.durNs;
-    }
-    if (tracer_ != nullptr) tracer_->channel()->record(rec);
-    // Same contract as the plain path: the bool API is kept, and a
-    // durability failure stays visible via the tier's sticky error.
-    if (pseq != 0) {
-        Status ignored = persist_->waitDurable(shard, pseq);
-        (void)ignored;
-    }
-    return hit;
 }
 
 // ---- durability tier -----------------------------------------------
@@ -1434,19 +969,18 @@ ZkvStore::replayPut(std::uint32_t shard, std::uint64_t key,
     if (key == kReservedKey) return;
     Shard& sh = *shards_[shard];
     std::lock_guard<ShardLock> g(sh.lock);
+    sh.mirror->stage(value, nullptr, 0);
     AccessContext ctx{key, kNoNextUse};
     BlockPos pos = sh.array->access(key, ctx);
-    if (pos != kInvalidPos) {
-        Shard::WriteSection ws(sh);
-        sh.mirror->setValue(pos, value);
-        return;
-    }
-    sh.mirror->setPending(value);
-    // Replay inserts may themselves evict (capacity): misses after
-    // recovery are acceptable, resurrections are not — and since the
-    // tier is not active yet, nothing here is re-logged.
     Shard::WriteSection ws(sh);
-    (void)sh.array->insert(key, ctx);
+    if (pos != kInvalidPos) {
+        sh.mirror->commit(pos);
+    } else {
+        // Replay inserts may themselves evict (capacity): misses after
+        // recovery are acceptable, resurrections are not — and since
+        // the tier is not active yet, nothing here is re-logged.
+        (void)sh.array->insert(key, ctx);
+    }
 }
 
 void
@@ -1547,72 +1081,77 @@ ZkvShardStats
 ZkvStore::totals() const
 {
     ZkvShardStats t;
-    for (std::uint32_t i = 0; i < shards_.size(); i++) {
-        t.add(shardStats(i));
-    }
+    for (std::uint32_t i = 0; i < shards_.size(); i++) t.add(shardStats(i));
     return t;
 }
 
 namespace {
 
-void
-registerShardObsCounters(StatGroup& g, const ZkvShardObs* s,
-                         const ZkvSeqCounters* c)
+/** A stat bound to one uint64 field of a counter snapshot struct. */
+template <class Snapshot>
+struct FieldStat
 {
-    g.addCounter("get_optimistic", "gets answered without the lock", [c] {
-        return c->optimistic.load(std::memory_order_relaxed);
-    });
-    g.addCounter("get_retried", "seqlock validation retries", [c] {
-        return c->retried.load(std::memory_order_relaxed);
-    });
-    g.addCounter("get_fallback", "optimistic gets that took the lock",
-                 [c] {
-        return c->fallback.load(std::memory_order_relaxed);
-    });
-    g.addCounter("lock_acquisitions", "instrumented shard-lock takes",
-                 [s] { return s->lockAcquisitions; });
-    g.addCounter("lock_contended", "lock takes that had to wait",
-                 [s] { return s->lockContended; });
-    g.addCounter("lock_spin_iters", "TTAS relaxed-test spin iterations",
-                 [s] { return s->lockSpinIters; });
-    g.addCounter("lock_wait_ns", "summed lock-acquisition wait",
-                 [s] { return s->lockWaitNs; });
-    g.addCounter("net_ns", "summed decode->dispatch queue time (server)",
-                 [s] { return s->netNs; });
-    g.addCounter("probe_ns", "summed hash+tag probe time",
-                 [s] { return s->probeNs; });
-    g.addCounter("walk_ns", "summed relocation-walk time",
-                 [s] { return s->walkNs; });
-    g.addCounter("op_ns", "summed whole-op time",
-                 [s] { return s->opNs; });
-}
+    const char* name;
+    const char* desc;
+    std::uint64_t Snapshot::*field;
+};
 
+// One table per snapshot type serves both the store-wide totals and
+// every shard's group, so the two can never list different counters.
+using Ops = ZkvShardStats;
+using Obs = ZkvShardObs;
+using Comp = ZkvCompressionStats;
+
+constexpr FieldStat<Ops> kOpStats[] = {
+    {"gets", "get operations", &Ops::gets},
+    {"get_hits", "gets that found the key", &Ops::getHits},
+    {"puts", "put operations", &Ops::puts},
+    {"put_inserts", "puts that installed a new key", &Ops::putInserts},
+    {"put_updates", "puts that updated in place", &Ops::putUpdates},
+    {"erases", "erase operations", &Ops::erases},
+    {"erase_hits", "erases that removed a key", &Ops::eraseHits},
+    {"evictions", "resident keys displaced by inserts", &Ops::evictions},
+    {"walk_candidates", "replacement candidates examined",
+     &Ops::walkCandidates},
+    {"relocations", "walk relocations performed", &Ops::relocations},
+};
+
+constexpr FieldStat<Obs> kObsStats[] = {
+    {"get_optimistic", "gets answered without the lock", &Obs::getOptimistic},
+    {"get_retried", "seqlock validation retries", &Obs::getRetried},
+    {"get_fallback", "optimistic gets that took the lock", &Obs::getFallback},
+    {"lock_acquisitions", "instrumented shard-lock takes",
+     &Obs::lockAcquisitions},
+    {"lock_contended", "lock takes that had to wait", &Obs::lockContended},
+    {"lock_spin_iters", "TTAS relaxed-test spin iterations",
+     &Obs::lockSpinIters},
+    {"lock_wait_ns", "summed lock-acquisition wait", &Obs::lockWaitNs},
+    {"net_ns", "summed decode->dispatch queue time (server)", &Obs::netNs},
+    {"probe_ns", "summed hash+tag probe time", &Obs::probeNs},
+    {"walk_ns", "summed relocation-walk time", &Obs::walkNs},
+    {"op_ns", "summed whole-op time", &Obs::opNs},
+};
+
+constexpr FieldStat<Comp> kCompressionStats[] = {
+    {"compress_calls", "payloads compressed (puts)", &Comp::compressCalls},
+    {"decompress_calls", "payloads decoded (get hits)", &Comp::decompressCalls},
+    {"raw_bytes_total", "pre-codec bytes, all puts", &Comp::rawBytesTotal},
+    {"stored_bytes_total", "post-codec bytes, all puts",
+     &Comp::storedBytesTotal},
+    {"resident_raw_bytes", "live entries, pre-codec", &Comp::residentRawBytes},
+    {"resident_stored_bytes", "live entries, as stored",
+     &Comp::residentStoredBytes},
+};
+
+/** Register every @p table field of the snapshot @p snap returns. */
+template <class Snapshot, std::size_t N, class Fn>
 void
-registerShardCounters(StatGroup& g, const ZkvShardStats* s,
-                      const ZkvSeqCounters* c)
+addFieldStats(StatGroup& g, const FieldStat<Snapshot> (&table)[N], Fn snap)
 {
-    // gets/get_hits fold in the lock-free path's atomic counters, the
-    // same arithmetic shardStats() applies to its snapshot.
-    g.addCounter("gets", "get operations", [s, c] {
-        return s->gets + c->gets.load(std::memory_order_relaxed);
-    });
-    g.addCounter("get_hits", "gets that found the key", [s, c] {
-        return s->getHits + c->getHits.load(std::memory_order_relaxed);
-    });
-    g.addCounter("puts", "put operations", [s] { return s->puts; });
-    g.addCounter("put_inserts", "puts that installed a new key",
-                 [s] { return s->putInserts; });
-    g.addCounter("put_updates", "puts that updated in place",
-                 [s] { return s->putUpdates; });
-    g.addCounter("erases", "erase operations", [s] { return s->erases; });
-    g.addCounter("erase_hits", "erases that removed a key",
-                 [s] { return s->eraseHits; });
-    g.addCounter("evictions", "resident keys displaced by inserts",
-                 [s] { return s->evictions; });
-    g.addCounter("walk_candidates", "replacement candidates examined",
-                 [s] { return s->walkCandidates; });
-    g.addCounter("relocations", "walk relocations performed",
-                 [s] { return s->relocations; });
+    for (const FieldStat<Snapshot>& f : table) {
+        g.addCounter(f.name, f.desc,
+                     [snap, m = f.field] { return snap().*m; });
+    }
 }
 
 } // namespace
@@ -1634,27 +1173,8 @@ ZkvStore::registerStats(StatGroup& g)
 
     // Totals snapshot: one locked sweep per dumped counter keeps the
     // getters trivially consistent with the per-shard groups below.
-    StatGroup& tot = root.group("totals", "summed over all shards");
-    tot.addCounter("gets", "get operations",
-                   [this] { return totals().gets; });
-    tot.addCounter("get_hits", "gets that found the key",
-                   [this] { return totals().getHits; });
-    tot.addCounter("puts", "put operations",
-                   [this] { return totals().puts; });
-    tot.addCounter("put_inserts", "puts that installed a new key",
-                   [this] { return totals().putInserts; });
-    tot.addCounter("put_updates", "puts that updated in place",
-                   [this] { return totals().putUpdates; });
-    tot.addCounter("erases", "erase operations",
-                   [this] { return totals().erases; });
-    tot.addCounter("erase_hits", "erases that removed a key",
-                   [this] { return totals().eraseHits; });
-    tot.addCounter("evictions", "resident keys displaced by inserts",
-                   [this] { return totals().evictions; });
-    tot.addCounter("walk_candidates", "replacement candidates examined",
-                   [this] { return totals().walkCandidates; });
-    tot.addCounter("relocations", "walk relocations performed",
-                   [this] { return totals().relocations; });
+    addFieldStats(root.group("totals", "summed over all shards"), kOpStats,
+                  [this] { return totals(); });
 
     // Latency attribution + lock contention (docs/telemetry.md). All
     // zeros while obs is disabled (the default), so the default stats
@@ -1662,28 +1182,7 @@ ZkvStore::registerStats(StatGroup& g)
     // wall-clock and belong in the nondeterministic class.
     StatGroup& obs = root.group(
         "obs", "latency attribution and lock contention (traced paths)");
-    obs.addCounter("get_optimistic", "gets answered without the lock",
-                   [this] { return obsTotals().getOptimistic; });
-    obs.addCounter("get_retried", "seqlock validation retries",
-                   [this] { return obsTotals().getRetried; });
-    obs.addCounter("get_fallback", "optimistic gets that took the lock",
-                   [this] { return obsTotals().getFallback; });
-    obs.addCounter("lock_acquisitions", "instrumented shard-lock takes",
-                   [this] { return obsTotals().lockAcquisitions; });
-    obs.addCounter("lock_contended", "lock takes that had to wait",
-                   [this] { return obsTotals().lockContended; });
-    obs.addCounter("lock_spin_iters", "TTAS relaxed-test spin iterations",
-                   [this] { return obsTotals().lockSpinIters; });
-    obs.addCounter("lock_wait_ns", "summed lock-acquisition wait",
-                   [this] { return obsTotals().lockWaitNs; });
-    obs.addCounter("net_ns", "summed decode->dispatch queue time (server)",
-                   [this] { return obsTotals().netNs; });
-    obs.addCounter("probe_ns", "summed hash+tag probe time",
-                   [this] { return obsTotals().probeNs; });
-    obs.addCounter("walk_ns", "summed relocation-walk time",
-                   [this] { return obsTotals().walkNs; });
-    obs.addCounter("op_ns", "summed whole-op time",
-                   [this] { return obsTotals().opNs; });
+    addFieldStats(obs, kObsStats, [this] { return obsTotals(); });
 
     // Compressed-payload counters exist only in bytes mode, so the
     // default (fixed-u64) stats dump stays byte-identical.
@@ -1691,34 +1190,11 @@ ZkvStore::registerStats(StatGroup& g)
         StatGroup& comp = root.group(
             "compression", "compressed byte payloads (docs/compression.md)");
         comp.addConst("codec", "value codec",
-                      JsonValue(std::string(
-                          codecKindName(cfg_.value.codec))));
+                      JsonValue(std::string(codecKindName(cfg_.value.codec))));
         comp.addConst("max_value_bytes", "value length cap",
                       JsonValue(std::uint64_t{cfg_.value.maxBytes}));
-        comp.addCounter("compress_calls", "payloads compressed (puts)",
-                        [this] {
-            return compressionTotals().compressCalls;
-        });
-        comp.addCounter("decompress_calls", "payloads decoded (get hits)",
-                        [this] {
-            return compressionTotals().decompressCalls;
-        });
-        comp.addCounter("raw_bytes_total", "pre-codec bytes, all puts",
-                        [this] {
-            return compressionTotals().rawBytesTotal;
-        });
-        comp.addCounter("stored_bytes_total", "post-codec bytes, all puts",
-                        [this] {
-            return compressionTotals().storedBytesTotal;
-        });
-        comp.addCounter("resident_raw_bytes", "live entries, pre-codec",
-                        [this] {
-            return compressionTotals().residentRawBytes;
-        });
-        comp.addCounter("resident_stored_bytes",
-                        "live entries, as stored", [this] {
-            return compressionTotals().residentStoredBytes;
-        });
+        addFieldStats(comp, kCompressionStats,
+                      [this] { return compressionTotals(); });
         comp.addScalar("ratio", "raw/stored bytes over all puts",
                        [this] { return compressionTotals().ratio(); });
     }
@@ -1730,11 +1206,13 @@ ZkvStore::registerStats(StatGroup& g)
             root.group("persist", "durability tier (docs/durability.md)"));
     }
 
+    // Per-shard snapshots fold in the lock-free read path's atomic
+    // counters, the same arithmetic the totals apply.
     for (std::uint32_t i = 0; i < shards_.size(); i++) {
         StatGroup& sh = root.group("shard" + std::to_string(i));
-        registerShardCounters(sh, &shards_[i]->stats, &shards_[i]->seqc);
-        registerShardObsCounters(sh.group("obs"), &shards_[i]->obs,
-                                 &shards_[i]->seqc);
+        addFieldStats(sh, kOpStats, [this, i] { return shardStats(i); });
+        addFieldStats(sh.group("obs"), kObsStats,
+                      [this, i] { return shardObs(i); });
         shards_[i]->array->registerStats(sh.group("array"));
     }
 }

@@ -361,7 +361,7 @@ struct ZkvShardStats
 
 /**
  * Per-shard latency attribution and lock-contention counters
- * (docs/telemetry.md). Written only on the instrumented op paths —
+ * (docs/telemetry.md). Written only by the op core's SpanProbe —
  * all zeros while observability is disabled (the default), which
  * keeps stats dumps deterministic; with obs enabled the *_ns fields
  * are wall-clock and belong in the nondeterministic class.
@@ -570,8 +570,9 @@ class ZkvStore
     ZkvStore(const ZkvStore&) = delete;
     ZkvStore& operator=(const ZkvStore&) = delete;
 
-    /** Value for @p key, or nullopt on miss. Hits touch the policy.
-     *  Fixed-u64 stores only — bytes-mode callers use getBytes(). */
+    /** Value for @p key, or nullopt on miss. Hits touch the policy on
+     *  the locked read path (never on the optimistic one). Fixed-u64
+     *  stores only — bytes-mode callers use getBytes(). */
     std::optional<std::uint64_t> get(std::uint64_t key);
 
     /**
@@ -624,9 +625,13 @@ class ZkvStore
      * pure function of the key order either way); per-op failures
      * (reserved key -> InvalidArgument, store.walk fault ->
      * ResourceExhausted) land in out[i].code and never abort the rest
-     * of the batch. With observability enabled, each op still emits
-     * its own ObsOpRecord; lock wait is attributed to the batch's
-     * first record and decode->dispatch queueing to the `net` phase.
+     * of the batch. On the optimistic read path an all-gets batch is
+     * first answered lock-free; a batch with writes runs fully locked,
+     * in order, and its gets still never promote. The single-op calls
+     * above are one-op batches through the same loop. With
+     * observability enabled, each op still emits its own ObsOpRecord;
+     * lock wait is attributed to the batch's first locked record and
+     * decode->dispatch queueing to the `net` phase.
      */
     void runShardBatch(std::uint32_t shard,
                        std::span<const StoreBatchOp> ops,
@@ -647,18 +652,20 @@ class ZkvStore
     ZkvShardStats totals() const;
 
     /**
-     * Switch the op paths onto their instrumented twins: latency
-     * attribution (lock-wait / probe / walk split) and lock-contention
-     * counters always, plus one ObsOpRecord per op into @p tracer's
-     * per-thread ring when non-null (attribution-only mode otherwise).
-     * Not thread-safe against in-flight ops — call before workers
-     * start, as the load generator does. The tracer must outlive the
-     * store or a disableObs() call. Disabled (the default) costs one
-     * predicted-not-taken branch per op.
+     * Run every op — single or batched, u64 or bytes — through the
+     * op core's SpanProbe instantiation: latency attribution
+     * (lock-wait / probe / walk split) and lock-contention counters
+     * always, plus one ObsOpRecord per op into @p tracer's per-thread
+     * ring when non-null (attribution-only mode otherwise). The steps
+     * are the same code as the untraced NoProbe instantiation, so
+     * results and stats cannot diverge. Not thread-safe against
+     * in-flight ops — call before workers start, as the load generator
+     * does. The tracer must outlive the store or a disableObs() call.
+     * Disabled (the default) costs one predicted branch per op.
      */
     void enableObs(ObsTracer* tracer);
 
-    /** Back to the uninstrumented paths (same thread-safety caveat). */
+    /** Back to the NoProbe instantiation (same thread-safety caveat). */
     void disableObs();
 
     bool obsEnabled() const { return obsEnabled_; }
@@ -744,9 +751,39 @@ class ZkvStore
 
     explicit ZkvStore(ZkvConfig cfg);
 
-    std::optional<std::uint64_t> getTraced(std::uint64_t key);
-    Expected<PutResult> putTraced(std::uint64_t key, std::uint64_t value);
-    bool eraseTraced(std::uint64_t key);
+    /**
+     * The op core (zkv.cpp): one batch loop over one locked step per
+     * op kind, templated on a compile-time probe (NoProbe compiles
+     * away, SpanProbe traces). Each op's outcome lands in out[i], which
+     * must start default-constructed; @p why, when non-null, receives
+     * the first failing op's full Status.
+     */
+    template <class Probe>
+    inline void runBatch(std::uint32_t shard,
+                         std::span<const StoreBatchOp> ops,
+                         StoreBatchResult* out, Status* why);
+
+    template <class Probe>
+    inline void getStep(Shard& sh, const StoreBatchOp& op,
+                        StoreBatchResult& res, Probe& probe, Status* why);
+
+    template <class Probe>
+    inline void putStep(Shard& sh, std::uint32_t shard,
+                        const StoreBatchOp& op,
+                        std::vector<std::uint8_t>* comp,
+                        StoreBatchResult& res, Probe& probe,
+                        std::uint64_t& pseq, Status* why);
+
+    template <class Probe>
+    inline void eraseStep(Shard& sh, std::uint32_t shard,
+                          const StoreBatchOp& op, StoreBatchResult& res,
+                          Probe& probe, std::uint64_t& pseq);
+
+    /** One op as a one-op batch on @p key's shard (the single-op API).
+     *  Inline, like the core above: defined and used only in zkv.cpp. */
+    inline void runOne(ObsOp kind, std::uint64_t key, StoreBatchResult& res,
+                       Status* why, std::uint64_t value = 0,
+                       std::span<const std::uint8_t> bytes = {});
 
     /**
      * The lock-free read attempt: up to kSeqGetMaxRetries seqlock-
@@ -758,19 +795,6 @@ class ZkvStore
     bool tryOptimisticGet(Shard& sh, std::uint64_t key,
                           std::uint32_t& retries, bool& hit,
                           std::uint64_t& value);
-
-    std::optional<std::uint64_t> getOptimistic(std::uint64_t key);
-    std::optional<std::uint64_t> getOptimisticTraced(std::uint64_t key);
-
-    /**
-     * The all-gets batched twin: every op tries the lock-free path
-     * independently; the (rare) failures are answered together under a
-     * single lock acquisition. Mixed batches never come here — a put
-     * between two gets must stay ordered, so they run fully locked.
-     */
-    void runShardBatchGetsOptimistic(std::uint32_t shard,
-                                     std::span<const StoreBatchOp> ops,
-                                     StoreBatchResult* out);
 
     /** Recovery-only mutators: apply state without counting stats or
      *  re-logging (the tier is not active during replay). */

@@ -111,6 +111,47 @@ TEST(Codec, RoundTripsAdversarialPayloads)
     }
 }
 
+/**
+ * compress() gets exactly maxCompressedSize(n) bytes, as zkv sizes its
+ * buffers, followed by a canary: no trial encoding may write past the
+ * bound at any length a bytes PUT can carry. The patterns are the
+ * adversarial kinds plus a small-delta u64 ramp, whose base+delta
+ * trials fit but can lose to raw on short payloads.
+ */
+TEST(Codec, CompressNeverWritesPastMaxCompressedSize)
+{
+    constexpr std::size_t kCanary = 32;
+    constexpr std::uint8_t kFill = 0xcd;
+    Pcg32 rng(5);
+    for (CodecKind k : kAllCodecKinds) {
+        auto c = makeCodec(k);
+        for (int kind = 0; kind < 5; kind++) {
+            for (std::size_t n = 0; n <= kZkvMaxValueBytes; n++) {
+                std::vector<std::uint8_t> src;
+                if (kind < 4) {
+                    src = adversarialPayload(kind, n, rng);
+                } else {
+                    src.resize(n);
+                    for (std::size_t off = 0; off < n; off += 8) {
+                        std::uint64_t word = 0x1000 + off;
+                        std::memcpy(src.data() + off, &word,
+                                    std::min<std::size_t>(8, n - off));
+                    }
+                }
+                const std::size_t cap = c->maxCompressedSize(n);
+                std::vector<std::uint8_t> buf(cap + kCanary, kFill);
+                auto m = c->compress(src.data(), n, buf.data(), cap);
+                ASSERT_TRUE(m.hasValue()) << c->name() << " n=" << n;
+                for (std::size_t i = cap; i < buf.size(); i++) {
+                    ASSERT_EQ(buf[i], kFill)
+                        << c->name() << " kind=" << kind << " n=" << n
+                        << " wrote byte " << i - cap << " past the bound";
+                }
+            }
+        }
+    }
+}
+
 TEST(Codec, BdiCompressesTheCompressibleClasses)
 {
     auto c = makeCodec(CodecKind::Bdi);

@@ -384,6 +384,43 @@ TEST(ZkvObs, TracedPathMatchesPlainPathObservably)
     EXPECT_EQ(sum->recorded + sum->dropped, ops);
 }
 
+/**
+ * Bytes-mode single ops run through the same traced core as u64 ops:
+ * every putBytes/getBytes/erase leaves one record and one lock take,
+ * so a traced bytes run reconciles like any other.
+ */
+TEST(ZkvObs, BytesModeOpsAreTraced)
+{
+    ZkvConfig cfg = storeConfig();
+    cfg.value.maxBytes = 64;
+    cfg.value.codec = CodecKind::Bdi;
+    auto store = ZkvStore::create(cfg);
+    ASSERT_TRUE(store.hasValue());
+    ZkvStore& kv = **store;
+
+    ObsTracerConfig tc; // count-only
+    ObsTracer tracer(std::move(tc));
+    kv.enableObs(&tracer);
+    std::uint64_t ops = 0;
+    for (std::uint64_t k = 1; k <= 600; k++) {
+        std::vector<std::uint8_t> v(8 + k % 56, static_cast<std::uint8_t>(k));
+        ASSERT_TRUE(kv.putBytes(k, v).hasValue());
+        auto got = kv.getBytes(k / 2 + 1);
+        ASSERT_TRUE(got.hasValue());
+        ops += 2;
+        if (k % 7 == 0) {
+            (void)kv.erase(k);
+            ops++;
+        }
+    }
+    kv.disableObs();
+
+    EXPECT_EQ(kv.obsTotals().lockAcquisitions, ops);
+    auto sum = tracer.finish(ops);
+    ASSERT_TRUE(sum.hasValue());
+    EXPECT_EQ(sum->recorded + sum->dropped, ops);
+}
+
 // ---------------------------------------------------------------------
 // MetricsSnapshotter.
 

@@ -343,6 +343,27 @@ TEST(ZkvLoadGen, DifferentSeedsDiverge)
     EXPECT_NE(a->storeStats.str(), b->storeStats.str());
 }
 
+/**
+ * Wall time spans every worker's own measured interval: it runs from
+ * the earliest worker start to the latest worker end, so it cannot
+ * start late on a coordinator that wakes after the workers ran.
+ */
+TEST(ZkvLoadGen, WallClockCoversEveryWorker)
+{
+    LoadGenConfig cfg;
+    cfg.store = tinyConfig(/*shards=*/2, /*blocks=*/256);
+    cfg.threads = 1;
+    cfg.opsPerThread = 2000;
+    cfg.workload = "canneal";
+
+    auto r = runLoadGen(cfg);
+    ASSERT_TRUE(r.hasValue()) << r.status().str();
+    for (const ThreadStats& t : r->perThread) {
+        EXPECT_GT(t.seconds, 0.0);
+        EXPECT_GE(r->seconds, t.seconds);
+    }
+}
+
 TEST(ZkvLoadGen, UnknownWorkloadIsStructuredNotFound)
 {
     LoadGenConfig cfg;
@@ -617,6 +638,47 @@ TEST(ZkvOptimistic, MixedBatchKeepsInOrderSemantics)
     EXPECT_EQ(out[1].value, 55u);
     EXPECT_TRUE(out[2].hit);
     EXPECT_FALSE(out[3].hit);
+}
+
+/**
+ * A get in a batch with a put is answered under the lock, but it is
+ * still an optimistic-mode get: it must not promote, so the eviction
+ * sequence stays the bare array's fed only the puts, and it counts as
+ * a fallback (every get is either optimistic or a fallback).
+ */
+TEST(ZkvOptimistic, MixedBatchesKeepEvictionAPureFunctionOfPuts)
+{
+    ZkvConfig cfg = optimisticConfig(/*shards=*/1, /*blocks=*/64);
+    auto kv = mustCreate(cfg);
+    auto bare = makeArray(cfg.shardSpec(0));
+
+    std::vector<std::uint64_t> store_evicted;
+    std::vector<std::uint64_t> bare_evicted;
+    Pcg32 rng(23);
+    for (int i = 0; i < 500; i++) {
+        std::vector<StoreBatchOp> ops(2);
+        ops[0].kind = ObsOp::Put;
+        ops[0].key = rng.next64() % 256;
+        ops[0].value = ops[0].key * 3;
+        ops[1].kind = ObsOp::Get;
+        ops[1].key = rng.next64() % 256;
+        std::vector<StoreBatchResult> out(ops.size());
+        kv->runShardBatch(0, std::span<const StoreBatchOp>(ops), out.data());
+        ASSERT_EQ(out[0].code, ErrorCode::Ok);
+        if (out[0].evicted) store_evicted.push_back(out[0].evictedKey);
+
+        AccessContext ctx{ops[0].key, kNoNextUse};
+        if (bare->access(ops[0].key, ctx) == kInvalidPos) {
+            Replacement r = bare->insert(ops[0].key, ctx);
+            if (r.evictedValid()) bare_evicted.push_back(r.evictedAddr);
+        }
+    }
+    ASSERT_GT(store_evicted.size(), 100u);
+    EXPECT_EQ(store_evicted, bare_evicted);
+
+    ZkvShardObs obs = kv->obsTotals();
+    EXPECT_EQ(kv->totals().gets, 500u);
+    EXPECT_EQ(kv->totals().gets, obs.getOptimistic + obs.getFallback);
 }
 
 TEST(ZkvOptimistic, TracedPathMatchesPlain)
