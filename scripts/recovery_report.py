@@ -31,8 +31,11 @@ Usage:
 """
 
 import argparse
-import json
 import sys
+
+from report_common import Reporter
+
+R = Reporter("recovery_report")
 
 OP_RECORD_SIZE = 33  # framed PUT/ERASE/EVICT record (docs/durability.md)
 
@@ -46,81 +49,65 @@ SHARD_KEYS = (
 TOTAL_KEYS = ("replayed", "skipped", "salvaged_bytes", "dropped_records")
 
 
-def fail(msg):
-    print(f"recovery_report: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def load_report(path):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"{path}: {e}")
-    if not isinstance(doc, dict) or "per_shard" not in doc:
-        fail(f"{path}: no per_shard array (not a recovery report)")
-    return doc
-
-
 def check_shard(i, s):
     """Structural + accounting invariants for one shard entry."""
     for k in SHARD_KEYS:
         if k not in s:
-            fail(f"shard entry {i} lacks key {k!r}")
+            R.fail(f"shard entry {i} lacks key {k!r}")
     if s["shard"] != i:
-        fail(f"per_shard[{i}].shard={s['shard']} — entries out of order")
+        R.fail(f"per_shard[{i}].shard={s['shard']} — entries out of order")
     if s["replayed"] + s["skipped"] != s["log_records"]:
-        fail(f"shard {i}: replayed({s['replayed']}) + "
-             f"skipped({s['skipped']}) != log_records({s['log_records']})")
+        R.fail(f"shard {i}: replayed({s['replayed']}) + "
+               f"skipped({s['skipped']}) != log_records({s['log_records']})")
     if s["valid_bytes"] != s["log_records"] * OP_RECORD_SIZE:
-        fail(f"shard {i}: valid_bytes={s['valid_bytes']} is not "
-             f"log_records({s['log_records']}) x {OP_RECORD_SIZE}-byte "
-             f"records")
+        R.fail(f"shard {i}: valid_bytes={s['valid_bytes']} is not "
+               f"log_records({s['log_records']}) x {OP_RECORD_SIZE}-byte "
+               f"records")
     if s["high_water"] < s["snapshot_watermark"]:
-        fail(f"shard {i}: high_water={s['high_water']} < "
-             f"snapshot_watermark={s['snapshot_watermark']}")
+        R.fail(f"shard {i}: high_water={s['high_water']} < "
+               f"snapshot_watermark={s['snapshot_watermark']}")
     if not s["snapshot_loaded"]:
         if s["snapshot_records"] != 0 or s["snapshot_watermark"] != 0:
-            fail(f"shard {i}: no snapshot loaded but snapshot_records="
-                 f"{s['snapshot_records']} watermark="
-                 f"{s['snapshot_watermark']}")
+            R.fail(f"shard {i}: no snapshot loaded but snapshot_records="
+                   f"{s['snapshot_records']} watermark="
+                   f"{s['snapshot_watermark']}")
         if s["skipped"] != 0:
-            fail(f"shard {i}: {s['skipped']} records skipped without a "
-                 f"snapshot watermark to cover them")
+            R.fail(f"shard {i}: {s['skipped']} records skipped without a "
+                   f"snapshot watermark to cover them")
 
     gap_width = 0
     for j, g in enumerate(s["seqno_gaps"]):
         for k in ("segment", "byte_offset", "prev_seqno", "next_seqno"):
             if k not in g:
-                fail(f"shard {i} gap {j} lacks key {k!r}")
+                R.fail(f"shard {i} gap {j} lacks key {k!r}")
         if g["next_seqno"] <= g["prev_seqno"] + 1:
-            fail(f"shard {i} gap {j}: [{g['prev_seqno']} -> "
-                 f"{g['next_seqno']}] is not a hole")
+            R.fail(f"shard {i} gap {j}: [{g['prev_seqno']} -> "
+                   f"{g['next_seqno']}] is not a hole")
         if g["byte_offset"] % OP_RECORD_SIZE != 0:
-            fail(f"shard {i} gap {j}: byte_offset={g['byte_offset']} "
-                 f"is not record-aligned")
+            R.fail(f"shard {i} gap {j}: byte_offset={g['byte_offset']} "
+                   f"is not record-aligned")
         gap_width += g["next_seqno"] - g["prev_seqno"] - 1
     if gap_width != s["dropped_records"]:
-        fail(f"shard {i}: dropped_records={s['dropped_records']} but "
-             f"the gaps account for {gap_width}")
+        R.fail(f"shard {i}: dropped_records={s['dropped_records']} but "
+               f"the gaps account for {gap_width}")
     if s["salvaged_bytes"] > 0 and not s["warnings"]:
-        fail(f"shard {i}: {s['salvaged_bytes']} bytes salvaged "
-             f"without a warning")
+        R.fail(f"shard {i}: {s['salvaged_bytes']} bytes salvaged "
+               f"without a warning")
 
 
 def check_totals(doc):
     per = doc["per_shard"]
     if doc.get("shards") != len(per):
-        fail(f"shards={doc.get('shards')} but per_shard holds "
-             f"{len(per)} entries")
+        R.fail(f"shards={doc.get('shards')} but per_shard holds "
+               f"{len(per)} entries")
     for k in TOTAL_KEYS:
         total = sum(s[k] for s in per)
         if doc.get(k) != total:
-            fail(f"top-level {k}={doc.get(k)} != per-shard sum {total}")
+            R.fail(f"top-level {k}={doc.get(k)} != per-shard sum {total}")
     gaps = sum(len(s["seqno_gaps"]) for s in per)
     if doc.get("seqno_gaps") != gaps:
-        fail(f"top-level seqno_gaps={doc.get('seqno_gaps')} != "
-             f"per-shard gap count {gaps}")
+        R.fail(f"top-level seqno_gaps={doc.get('seqno_gaps')} != "
+               f"per-shard gap count {gaps}")
 
 
 def main():
@@ -139,7 +126,8 @@ def main():
                          "that ended in a clean shutdown)")
     args = ap.parse_args()
 
-    doc = load_report(args.report)
+    doc = R.load_object(args.report, lambda d: "per_shard" in d,
+                        "no per_shard array (not a recovery report)")
     per = doc["per_shard"]
 
     if args.validate:
@@ -149,9 +137,9 @@ def main():
         if args.expect_clean and (doc["salvaged_bytes"] or
                                   doc["seqno_gaps"] or
                                   any(s["warnings"] for s in per)):
-            fail("report is not clean: salvaged_bytes="
-                 f"{doc['salvaged_bytes']} seqno_gaps="
-                 f"{doc['seqno_gaps']}")
+            R.fail("report is not clean: salvaged_bytes="
+                   f"{doc['salvaged_bytes']} seqno_gaps="
+                   f"{doc['seqno_gaps']}")
 
     print(f"recovery: {args.report}")
     print(f"  shards: {len(per)}  replayed: {doc['replayed']}  "
@@ -171,7 +159,7 @@ def main():
             print(f"    warning: {w}")
 
     if args.validate:
-        print("recovery_report: OK")
+        R.finish()
     return 0
 
 

@@ -30,30 +30,22 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 
+from report_common import Reporter
 
-def fail(msg):
-    print(f"scaling_report: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+R = Reporter("scaling_report")
 
 
 def load(path):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"{path}: {e}")
-    if not isinstance(doc, dict):
-        fail(f"{path}: not a JSON object")
+    doc = R.load_object(path)
     scaling = doc.get("scaling")
     if not isinstance(scaling, dict) or not isinstance(
             scaling.get("points"), list):
-        fail(f"{path}: no scaling.points block "
-             f"(was the report written with --scaling?)")
+        R.fail(f"{path}: no scaling.points block "
+               f"(was the report written with --scaling?)")
     if not scaling["points"]:
-        fail(f"{path}: empty scaling.points array")
+        R.fail(f"{path}: empty scaling.points array")
     return doc
 
 
@@ -142,11 +134,7 @@ def main():
                 f"get throughput at {args.at_threads} threads is only "
                 f"{ratio:.2f}x the 1-thread baseline "
                 f"(floor {args.min_ratio:.2f}x)")
-        if violations:
-            for v in violations:
-                print(f"scaling_report: FAIL: {v}", file=sys.stderr)
-            sys.exit(1)
-        print("scaling_report: OK")
+        R.finish(violations)
     return 0
 
 

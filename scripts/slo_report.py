@@ -26,25 +26,18 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 
+from report_common import Reporter
 
-def fail(msg):
-    print(f"slo_report: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+R = Reporter("slo_report")
 
 
 def load(path):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"{path}: {e}")
-    if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
-        fail(f"{path}: no runs array (not a bench JSON report)")
+    doc = R.load_object(path, lambda d: isinstance(d.get("runs"), list),
+                        "no runs array (not a bench JSON report)")
     if not doc["runs"]:
-        fail(f"{path}: empty runs array")
+        R.fail(f"{path}: empty runs array")
     return doc
 
 
@@ -114,7 +107,7 @@ def main():
     runs = doc["runs"]
 
     if args.expect_points and len(runs) != args.expect_points:
-        fail(f"{len(runs)} sweep points, expected {args.expect_points}")
+        R.fail(f"{len(runs)} sweep points, expected {args.expect_points}")
 
     first = runs[0]
     title = (f"workload={first.get('workload', '?')} "
@@ -141,11 +134,7 @@ def main():
     print()
 
     if args.validate:
-        if violations:
-            for v in violations:
-                print(f"slo_report: FAIL: {v}", file=sys.stderr)
-            sys.exit(1)
-        print("slo_report: OK")
+        R.finish(violations)
     return 0
 
 

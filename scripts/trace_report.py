@@ -32,25 +32,20 @@ import collections
 import json
 import sys
 
+from report_common import Reporter
+
+R = Reporter("trace_report")
+
 OP_NAMES = ("get", "put", "erase")
 PHASE_NAMES = ("net", "lock_wait", "probe", "walk")
 
 
-def fail(msg):
-    print(f"trace_report: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
 def load_trace(path):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"{path}: {e}")
-    if not isinstance(doc, dict) or "traceEvents" not in doc:
-        fail(f"{path}: no traceEvents array (not a trace-event document)")
+    doc = R.load_object(
+        path, lambda d: "traceEvents" in d,
+        "no traceEvents array (not a trace-event document)")
     if not isinstance(doc["traceEvents"], list):
-        fail(f"{path}: traceEvents is not an array")
+        R.fail(f"{path}: traceEvents is not an array")
     return doc
 
 
@@ -67,26 +62,26 @@ def scan(doc, validate):
 
     for i, e in enumerate(doc["traceEvents"]):
         if not isinstance(e, dict):
-            fail(f"event {i} is not an object")
+            R.fail(f"event {i} is not an object")
         ph = e.get("ph")
         name = e.get("name")
         if ph is None or name is None:
-            fail(f"event {i} lacks ph/name")
+            R.fail(f"event {i} lacks ph/name")
         if ph == "M":
             metadata += 1
             continue
         tid = e.get("tid")
         ts = e.get("ts")
         if validate and (tid is None or ts is None):
-            fail(f"event {i} ({name}) lacks tid/ts")
+            R.fail(f"event {i} ({name}) lacks tid/ts")
         if ph == "i":
             instants += 1
             continue
         if ph != "X":
-            fail(f"event {i} has unexpected phase type {ph!r}")
+            R.fail(f"event {i} has unexpected phase type {ph!r}")
         dur = e.get("dur")
         if validate and dur is None:
-            fail(f"complete event {i} ({name}) lacks dur")
+            R.fail(f"complete event {i} ({name}) lacks dur")
         if name in OP_NAMES:
             ops[name] += 1
             op_us[name] += dur or 0.0
@@ -101,14 +96,14 @@ def scan(doc, validate):
             if validate:
                 parent = open_op.get(tid)
                 if parent is None:
-                    fail(f"child span {i} ({name}) precedes any op span "
-                         f"on tid {tid}")
+                    R.fail(f"child span {i} ({name}) precedes any op span "
+                           f"on tid {tid}")
                 pts, pdur = parent
                 if ts < pts - 1e-6 or ts + (dur or 0.0) > pts + pdur + 1e-3:
-                    fail(f"child span {i} ({name}) [{ts}, {ts + dur}] "
-                         f"escapes its op span [{pts}, {pts + pdur}]")
+                    R.fail(f"child span {i} ({name}) [{ts}, {ts + dur}] "
+                           f"escapes its op span [{pts}, {pts + pdur}]")
         else:
-            fail(f"event {i} has unexpected name {name!r}")
+            R.fail(f"event {i} has unexpected name {name!r}")
 
     return {
         "ops": ops,
@@ -129,16 +124,16 @@ def check_reconciliation(doc, tallies, expect_ops):
     span_total = sum(tallies["ops"].values())
 
     if recorded is None or dropped is None:
-        fail("otherData lacks ops_recorded/ops_dropped")
+        R.fail("otherData lacks ops_recorded/ops_dropped")
     if recorded != span_total:
-        fail(f"otherData.ops_recorded={recorded} but the file holds "
-             f"{span_total} op spans")
+        R.fail(f"otherData.ops_recorded={recorded} but the file holds "
+               f"{span_total} op spans")
     if expect_ops is not None:
         expected = expect_ops
     if expected:
         if recorded + dropped != expected:
-            fail(f"recorded({recorded}) + dropped({dropped}) != "
-                 f"expected({expected})")
+            R.fail(f"recorded({recorded}) + dropped({dropped}) != "
+                   f"expected({expected})")
     return recorded, dropped, expected
 
 
@@ -153,12 +148,12 @@ def check_metrics(path, validate):
                 try:
                     records.append(json.loads(line))
                 except json.JSONDecodeError as e:
-                    fail(f"{path}:{ln}: {e}")
+                    R.fail(f"{path}:{ln}: {e}")
     except OSError as e:
-        fail(f"{path}: {e}")
+        R.fail(f"{path}: {e}")
     if not records:
         if validate:
-            fail(f"{path}: no metrics windows")
+            R.fail(f"{path}: no metrics windows")
         return records
 
     deltas = collections.Counter()
@@ -166,14 +161,14 @@ def check_metrics(path, validate):
         for k, v in rec.items():
             if k.startswith("d_"):
                 if validate and v < 0:
-                    fail(f"{path} window {ln}: {k}={v} is negative")
+                    R.fail(f"{path} window {ln}: {k}={v} is negative")
                 deltas[k[2:]] += v
     final = records[-1]
     for name, total in sorted(deltas.items()):
         if name in final and validate and total != final[name]:
-            fail(f"{path}: sum(d_{name})={total} != final "
-                 f"cumulative {name}={final[name]} — windows do not "
-                 f"partition the run")
+            R.fail(f"{path}: sum(d_{name})={total} != final "
+                   f"cumulative {name}={final[name]} — windows do not "
+                   f"partition the run")
     return records
 
 
@@ -232,10 +227,10 @@ def main():
                 print(f"  final cumulative ops: {ops}")
             if args.validate and expected and ops is not None:
                 if ops != expected:
-                    fail(f"metrics final ops={ops} != expected {expected}")
+                    R.fail(f"metrics final ops={ops} != expected {expected}")
 
     if args.validate:
-        print("trace_report: OK")
+        R.finish()
     return 0
 
 

@@ -1,7 +1,6 @@
 #include "cache/z_array.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/bitops.hpp"
 #include "common/log.hpp"
@@ -25,7 +24,8 @@ ZArray::ZArray(std::uint32_t num_blocks, const ZArrayConfig& cfg,
       hashes_(std::move(hashes)),
       tags_(num_blocks, kInvalidAddr),
       rng_(cfg.seed, /*stream=*/0x2545f4914f6cdd1dULL),
-      bloom_(256)
+      bloom_(256),
+      seen_(num_blocks)
 {
     zc_assert(cfg.ways >= 2);
     zc_assert(cfg.levels >= 1);
@@ -37,21 +37,9 @@ ZArray::ZArray(std::uint32_t num_blocks, const ZArrayConfig& cfg,
         zc_assert(h->buckets() == linesPerWay_);
     }
     wayIndex_.build(hashes_, linesPerWay_);
-    seenEpoch_.assign(num_blocks, 0);
-    wayPos_.resize(cfg.ways);
     nodes_.reserve(256);
     cands_.reserve(256);
     candNode_.reserve(256);
-}
-
-std::uint32_t
-ZArray::nextDedupEpoch()
-{
-    if (++dedupEpoch_ == 0) {
-        std::fill(seenEpoch_.begin(), seenEpoch_.end(), 0u);
-        dedupEpoch_ = 1;
-    }
-    return dedupEpoch_;
 }
 
 std::uint32_t
@@ -78,32 +66,11 @@ ZArray::walkLatency(std::uint32_t ways, std::uint32_t levels,
 }
 
 BlockPos
-ZArray::positionOf(std::uint32_t way, Addr lineAddr) const
-{
-    if (cfg_.referenceWalk) [[unlikely]] {
-        std::uint64_t line = hashes_[way]->hash(lineAddr);
-        return static_cast<BlockPos>(way * linesPerWay_ + line);
-    }
-    return wayIndex_.position(way, lineAddr);
-}
-
-BlockPos
 ZArray::access(Addr lineAddr, const AccessContext& ctx)
 {
     // A lookup reads one tag per way (each way has its own index).
     stats_.tagReads += cfg_.ways;
-    BlockPos pos = kInvalidPos;
-    if (cfg_.referenceWalk) [[unlikely]] {
-        for (std::uint32_t w = 0; w < cfg_.ways; w++) {
-            BlockPos p = positionOf(w, lineAddr);
-            if (tags_[p] == lineAddr) {
-                pos = p;
-                break;
-            }
-        }
-    } else {
-        pos = ZArray::probe(lineAddr);
-    }
+    const BlockPos pos = ZArray::probe(lineAddr);
     if (pos == kInvalidPos) return kInvalidPos;
     stats_.dataReads++;
     policy_->onHit(pos, ctx);
@@ -126,9 +93,8 @@ std::uint32_t
 ZArray::lookupWays(Addr lineAddr, BlockPos* out, std::uint32_t cap) const
 {
     if (cap < cfg_.ways) return 0;
-    // Straight into the caller's buffer (not the wayPos_ scratch):
-    // lookupWays must stay free of mutable state so concurrent lock-free
-    // readers can call it.
+    // Straight into the caller's buffer: lookupWays must stay free of
+    // mutable state so concurrent lock-free readers can call it.
     wayIndex_.positionsAll(lineAddr, out);
     return cfg_.ways;
 }
@@ -166,30 +132,40 @@ ZArray::expandNode(std::uint32_t node_idx)
         zstats_.repeatsTotal++;
         return; // Bloom filter: do not walk through repeats (III-D)
     }
-    // One batched call covers the W-1 sibling ways (the node's own way
-    // is computed too but skipped — cheaper than W-1 dispatches).
-    if (!cfg_.referenceWalk) wayIndex_.positionsAll(n.addr, wayPos_.data());
-    for (std::uint32_t w = 0; w < cfg_.ways; w++) {
-        if (w == n.way) continue;
-        BlockPos pos =
-            cfg_.referenceWalk ? positionOf(w, n.addr) : wayPos_[w];
-        if (onAncestorPath(static_cast<std::int32_t>(node_idx), pos)) {
+    // One batched evaluation covers the W-1 sibling ways (the node's
+    // own way is computed too but skipped).
+    const auto parent = static_cast<std::int32_t>(node_idx);
+    wayIndex_.forEachPosition(n.addr, [&](std::uint32_t w, BlockPos pos) {
+        if (w == n.way) return false;
+        if (onAncestorPath(parent, pos)) {
             // A cycle back onto this node's own relocation path; such a
             // candidate could not be relocated consistently, so skip it.
             zstats_.repeatsTotal++;
-            continue;
+            return false;
         }
         stats_.tagReads++;
-        pushNode(pos, w, static_cast<std::int32_t>(node_idx));
-        if (walkFoundEmpty_ || walkCapped_) return;
-    }
+        pushNode(pos, w, parent);
+        return walkFoundEmpty_ || walkCapped_;
+    });
+}
+
+bool
+ZArray::pushFirstLevel(Addr incoming)
+{
+    // First-level candidates: the blocks conflicting with the incoming
+    // address in each way. Their tags were already read by the missing
+    // lookup, so they add no tag-array traffic here.
+    wayIndex_.forEachPosition(incoming, [&](std::uint32_t w, BlockPos pos) {
+        pushNode(pos, w, -1);
+        return walkFoundEmpty_ || walkCapped_;
+    });
+    return walkFoundEmpty_ || walkCapped_;
 }
 
 void
-ZArray::expandSubtree(std::uint32_t root_idx, std::uint32_t levels)
+ZArray::expandLevels(std::size_t frontier_begin, std::size_t frontier_end,
+                     std::uint32_t levels)
 {
-    std::size_t frontier_begin = root_idx;
-    std::size_t frontier_end = root_idx + 1;
     for (std::uint32_t l = 1; l < levels; l++) {
         if (walkFoundEmpty_ || walkCapped_) return;
         std::size_t children_begin = nodes_.size();
@@ -206,31 +182,8 @@ ZArray::expandSubtree(std::uint32_t root_idx, std::uint32_t levels)
 std::uint32_t
 ZArray::walkBfs(Addr incoming)
 {
-    // First-level candidates: the blocks conflicting with the incoming
-    // address in each way. Their tags were already read by the missing
-    // lookup, so they add no tag-array traffic here.
-    if (!cfg_.referenceWalk) wayIndex_.positionsAll(incoming, wayPos_.data());
-    for (std::uint32_t w = 0; w < cfg_.ways && !walkCapped_; w++) {
-        pushNode(cfg_.referenceWalk ? positionOf(w, incoming) : wayPos_[w],
-                 w, -1);
-        if (walkFoundEmpty_) break;
-    }
-    if (walkFoundEmpty_ || walkCapped_) {
-        return static_cast<std::uint32_t>(nodes_.size());
-    }
-
-    std::size_t level_begin = 0;
-    std::size_t level_end = nodes_.size();
-    for (std::uint32_t l = 1; l < cfg_.levels; l++) {
-        for (std::size_t i = level_begin; i < level_end; i++) {
-            expandNode(static_cast<std::uint32_t>(i));
-            if (walkFoundEmpty_ || walkCapped_) {
-                return static_cast<std::uint32_t>(nodes_.size());
-            }
-        }
-        level_begin = level_end;
-        level_end = nodes_.size();
-        if (level_begin == level_end) break;
+    if (!pushFirstLevel(incoming)) {
+        expandLevels(0, nodes_.size(), cfg_.levels);
     }
     return static_cast<std::uint32_t>(nodes_.size());
 }
@@ -238,13 +191,7 @@ ZArray::walkBfs(Addr incoming)
 std::uint32_t
 ZArray::walkDfs(Addr incoming)
 {
-    if (!cfg_.referenceWalk) wayIndex_.positionsAll(incoming, wayPos_.data());
-    for (std::uint32_t w = 0; w < cfg_.ways && !walkCapped_; w++) {
-        pushNode(cfg_.referenceWalk ? positionOf(w, incoming) : wayPos_[w],
-                 w, -1);
-        if (walkFoundEmpty_) break;
-    }
-    if (walkFoundEmpty_ || walkCapped_) {
+    if (pushFirstLevel(incoming)) {
         return static_cast<std::uint32_t>(nodes_.size());
     }
 
@@ -263,7 +210,7 @@ ZArray::walkDfs(Addr incoming)
         }
         std::uint32_t w = rng_.below(cfg_.ways - 1);
         if (w >= n.way) w++;
-        BlockPos pos = positionOf(w, n.addr);
+        BlockPos pos = wayIndex_.position(w, n.addr);
         if (onAncestorPath(cur, pos)) {
             // Path cycled back on itself; stop extending.
             zstats_.repeatsTotal++;
@@ -298,37 +245,18 @@ ZArray::selectAmong(std::size_t begin, std::size_t end,
     // node per position so the relocation chain is shortest.
     cands_.clear();
     candNode_.clear();
-
-    if (cfg_.referenceWalk) [[unlikely]] {
-        // Reference dedup: the unordered_set the flat table replaced.
-        static thread_local std::unordered_set<BlockPos> seen;
-        seen.clear();
-        auto consider = [&](std::size_t i) {
-            const WalkNode& n = nodes_[i];
-            if (seen.insert(n.pos).second) {
-                cands_.push_back(n.pos);
-                candNode_.push_back(static_cast<std::uint32_t>(i));
-            } else {
-                zstats_.repeatsTotal++;
-            }
-        };
-        if (extra_idx >= 0) consider(static_cast<std::size_t>(extra_idx));
-        for (std::size_t i = begin; i < end; i++) consider(i);
-    } else {
-        const std::uint32_t epoch = nextDedupEpoch();
-        auto consider = [&](std::size_t i) {
-            const WalkNode& n = nodes_[i];
-            if (seenEpoch_[n.pos] != epoch) {
-                seenEpoch_[n.pos] = epoch;
-                cands_.push_back(n.pos);
-                candNode_.push_back(static_cast<std::uint32_t>(i));
-            } else {
-                zstats_.repeatsTotal++;
-            }
-        };
-        if (extra_idx >= 0) consider(static_cast<std::size_t>(extra_idx));
-        for (std::size_t i = begin; i < end; i++) consider(i);
-    }
+    seen_.clear();
+    auto consider = [&](std::size_t i) {
+        const WalkNode& n = nodes_[i];
+        if (seen_.insert(n.pos)) {
+            cands_.push_back(n.pos);
+            candNode_.push_back(static_cast<std::uint32_t>(i));
+        } else {
+            zstats_.repeatsTotal++;
+        }
+    };
+    if (extra_idx >= 0) consider(static_cast<std::size_t>(extra_idx));
+    for (std::size_t i = begin; i < end; i++) consider(i);
 
     zc_assert(!cands_.empty());
     BlockPos victim_pos = policy_->select(cands_);
@@ -431,7 +359,8 @@ ZArray::insert(Addr lineAddr, const AccessContext& ctx)
             // walk-table state (Section III-D).
             std::int32_t v1 = selectAmong(0, nodes_.size(), -1);
             std::size_t phase2_begin = nodes_.size();
-            expandSubtree(static_cast<std::uint32_t>(v1), cfg_.levels + 1);
+            expandLevels(static_cast<std::size_t>(v1),
+                         static_cast<std::size_t>(v1) + 1, cfg_.levels + 1);
             candidates += static_cast<std::uint32_t>(nodes_.size() -
                                                      phase2_begin);
             victim_idx = findShallowestEmpty(phase2_begin);
@@ -478,36 +407,18 @@ ZArray::recordWalkEvent(std::uint32_t victim_idx, std::uint32_t candidates)
     // depth is reached by the last node for BFS/DFS and by scanning the
     // (short) table in general.
     std::uint32_t max_depth = 0;
-    if (cfg_.referenceWalk) [[unlikely]] {
-        std::unordered_set<BlockPos> seen;
-        for (std::size_t i = 0; i < nodes_.size(); i++) {
-            max_depth =
-                std::max(max_depth, nodeDepth(static_cast<std::int32_t>(i)));
-            // Eviction-priority rank: distinct valid candidates the
-            // policy preferred to evict over the chosen victim.
-            if (!ev.emptyAbsorbed && nodes_[i].addr != kInvalidAddr &&
-                nodes_[i].pos != victim.pos &&
-                seen.insert(nodes_[i].pos).second &&
-                policy_->ordersBefore(nodes_[i].pos, victim.pos)) {
-                ev.evictionRank++;
-            }
-        }
-    } else {
-        const std::uint32_t epoch = nextDedupEpoch();
-        for (std::size_t i = 0; i < nodes_.size(); i++) {
-            max_depth =
-                std::max(max_depth, nodeDepth(static_cast<std::int32_t>(i)));
-            // Same short-circuit order as the reference: the dedup stamp
-            // happens only for valid non-victim candidates, and the
-            // policy comparison only on first sight of a position.
-            if (!ev.emptyAbsorbed && nodes_[i].addr != kInvalidAddr &&
-                nodes_[i].pos != victim.pos &&
-                seenEpoch_[nodes_[i].pos] != epoch) {
-                seenEpoch_[nodes_[i].pos] = epoch;
-                if (policy_->ordersBefore(nodes_[i].pos, victim.pos)) {
-                    ev.evictionRank++;
-                }
-            }
+    seen_.clear();
+    for (std::size_t i = 0; i < nodes_.size(); i++) {
+        max_depth =
+            std::max(max_depth, nodeDepth(static_cast<std::int32_t>(i)));
+        // Eviction-priority rank: distinct valid candidates the policy
+        // preferred to evict over the chosen victim. Only valid
+        // non-victim candidates enter the set, and the policy is asked
+        // only on a position's first sight.
+        if (!ev.emptyAbsorbed && nodes_[i].addr != kInvalidAddr &&
+            nodes_[i].pos != victim.pos && seen_.insert(nodes_[i].pos) &&
+            policy_->ordersBefore(nodes_[i].pos, victim.pos)) {
+            ev.evictionRank++;
         }
     }
     ev.levels = max_depth + 1;

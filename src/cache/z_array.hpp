@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -94,16 +95,6 @@ struct ZArrayConfig
      * hidden — Table I's 200-cycle memory latency by default.
      */
     std::uint32_t traceMissLatencyCycles = 200;
-
-    /**
-     * Test-only: run the pre-optimization reference implementation —
-     * per-way virtual hash() calls and std::unordered_set candidate
-     * dedup — instead of the batched WayIndexer + epoch-stamped flat
-     * dedup. The two paths must produce bit-identical walks, stats and
-     * victim choices; tests/test_walk_equivalence.cpp holds them to
-     * that. Never enable in production runs: it only costs speed.
-     */
-    bool referenceWalk = false;
 };
 
 /** One traced replacement walk (ZArrayConfig::traceCapacity > 0). */
@@ -162,6 +153,43 @@ struct ZWalkStats
                            static_cast<double>(walks)
                      : 0.0;
     }
+};
+
+/**
+ * A set of block positions that empties in O(1), for the walk's
+ * candidate dedup: position p is in the set iff stamps_[p] == epoch_.
+ * clear() bumps the epoch instead of touching the stamps. When the
+ * uint32 epoch wraps, the stamps are re-zeroed so a stamp from 2^32
+ * clears ago can never read as current. Stamps start at 0 and the
+ * epoch at 1, so a fresh set is empty.
+ */
+class EpochSet
+{
+  public:
+    /** A set over positions [0, @p positions). */
+    explicit EpochSet(std::size_t positions) : stamps_(positions, 0) {}
+
+    void
+    clear()
+    {
+        if (++epoch_ == 0) {
+            std::fill(stamps_.begin(), stamps_.end(), 0u);
+            epoch_ = 1;
+        }
+    }
+
+    /** Add @p pos; true when it was not in the set yet. */
+    bool
+    insert(BlockPos pos)
+    {
+        if (stamps_[pos] == epoch_) return false;
+        stamps_[pos] = epoch_;
+        return true;
+    }
+
+  private:
+    std::vector<std::uint32_t> stamps_;
+    std::uint32_t epoch_ = 1;
 };
 
 class ZArray : public CacheArray
@@ -258,12 +286,12 @@ class ZArray : public CacheArray
         bool repeat; ///< Bloom filter saw this address before (III-D)
     };
 
-    BlockPos positionOf(std::uint32_t way, Addr lineAddr) const;
-    std::uint32_t nextDedupEpoch();
     bool onAncestorPath(std::int32_t node, BlockPos pos) const;
     void pushNode(BlockPos pos, std::uint32_t way, std::int32_t parent);
+    bool pushFirstLevel(Addr incoming);
     void expandNode(std::uint32_t node_idx);
-    void expandSubtree(std::uint32_t root_idx, std::uint32_t levels);
+    void expandLevels(std::size_t frontier_begin, std::size_t frontier_end,
+                      std::uint32_t levels);
     std::uint32_t walkBfs(Addr incoming);
     std::uint32_t walkDfs(Addr incoming);
     std::int32_t findShallowestEmpty(std::size_t from) const;
@@ -278,7 +306,7 @@ class ZArray : public CacheArray
     ZArrayConfig cfg_;
     std::uint32_t linesPerWay_;
     std::vector<HashPtr> hashes_;
-    WayIndexer wayIndex_; ///< devirtualized/batched view of hashes_
+    WayIndexer wayIndex_; ///< batched view of hashes_
     std::vector<Addr> tags_;
     std::uint32_t valid_ = 0;
     Pcg32 rng_;
@@ -292,19 +320,13 @@ class ZArray : public CacheArray
     bool walkFoundEmpty_ = false;
     bool walkCapped_ = false;
 
-    // Epoch-stamped dedup table, sized to the bank: position p was seen
-    // in the current dedup pass iff seenEpoch_[p] == dedupEpoch_.
-    // Bumping the epoch empties the whole table in O(1) — no per-walk
-    // hashing or rehash allocation like the unordered_set it replaced.
-    // On uint32 wraparound the table is re-zeroed so stale stamps from
-    // 2^32 passes ago can never read as current.
-    std::vector<std::uint32_t> seenEpoch_;
-    std::uint32_t dedupEpoch_ = 0;
+    // Candidate dedup for selectAmong and recordWalkEvent, sized to the
+    // bank.
+    EpochSet seen_;
 
-    // More reusable walk scratch (candidate list + batched way indices).
+    // More reusable walk scratch (the candidate list).
     std::vector<BlockPos> cands_;
     std::vector<std::uint32_t> candNode_;
-    std::vector<BlockPos> wayPos_;
 
     // Walk-event trace ring buffer (cfg_.traceCapacity entries).
     std::vector<WalkEvent> trace_;

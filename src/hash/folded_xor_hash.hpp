@@ -5,7 +5,8 @@
  * Cheap alternative to H3: XOR together log2(buckets)-wide slices of the
  * address. Common in real designs (e.g. XOR-based bank interleaving).
  * Included as a mid-quality point between bit selection and H3 for the
- * hash-quality ablations.
+ * hash-quality ablations. A zcache over this family evaluates it through
+ * the virtual hash() (hash/way_index.hpp tabulates only H3).
  */
 
 #pragma once
@@ -51,13 +52,6 @@ class FoldedXorHash final : public HashFunction
     }
 
     std::uint64_t buckets() const override { return buckets_; }
-
-    /**
-     * The internal additive constant (salt * golden ratio), i.e. exactly
-     * what hash() adds to the address. Exposed for WayIndexer's
-     * devirtualized evaluation (hash/way_index.hpp).
-     */
-    std::uint64_t saltConstant() const { return salt_; }
 
     std::string name() const override { return "FoldedXor"; }
 

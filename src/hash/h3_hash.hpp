@@ -21,7 +21,8 @@
  *
  * hash() is the only definition of the function. Because it is linear
  * over GF(2), WayIndexer (hash/way_index.hpp) tabulates it from hash()
- * calls on nibble-sized inputs instead of reading the matrix.
+ * calls on nibble-sized inputs instead of reading the matrix; H3 is the
+ * one family it tabulates, and the tests compare the table with hash().
  */
 
 #pragma once

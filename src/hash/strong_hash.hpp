@@ -4,10 +4,12 @@
  *
  * Section IV-C notes that replacing H3 with SHA-1 makes measured
  * associativity distributions indistinguishable from the uniformity
- * assumption. We stand in a full-avalanche 64-bit finalizer for SHA-1:
- * it has the property the experiment needs (every output bit depends on
- * every input bit, negligible correlation across seeds) at a tiny fraction
- * of the cost, and the bench exposes it under the `--strong-hash` flag.
+ * assumption. This full-avalanche 64-bit finalizer has the property the
+ * experiment needs (every output bit depends on every input bit,
+ * negligible correlation across seeds) at a tiny fraction of SHA-1's
+ * cost; fig3's `--strong-hash` flag uses the real SHA-1 (hash/sha1.hpp).
+ * A zcache over this family evaluates it through the virtual hash()
+ * (hash/way_index.hpp tabulates only H3).
  */
 
 #pragma once
@@ -42,9 +44,6 @@ class StrongHash final : public HashFunction
     }
 
     std::uint64_t buckets() const override { return buckets_; }
-
-    /** Seed, exposed for WayIndexer's devirtualized evaluation. */
-    std::uint64_t seed() const { return seed_; }
 
     std::string
     name() const override

@@ -94,48 +94,20 @@ ZkvServer::create(const ZkvServerConfig& cfg)
             ZkvServer* raw = srv.get();
             srv->snap_ = std::make_unique<MetricsSnapshotter>(
                 std::move(mc), [raw] {
-                    MetricsSample s;
-                    ZkvShardStats t = raw->store_->totals();
-                    ZkvServerStats sv = raw->stats();
-                    s.counters = {
-                        {"ops", t.gets + t.puts + t.erases},
-                        {"gets", t.gets},
-                        {"get_hits", t.getHits},
-                        {"puts", t.puts},
-                        {"put_inserts", t.putInserts},
-                        {"erases", t.erases},
-                        {"evictions", t.evictions},
-                        {"relocations", t.relocations},
-                        {"net_frames_in", sv.framesIn},
-                        {"net_frames_out", sv.framesOut},
-                        {"net_bytes_in", sv.bytesIn},
-                        {"net_bytes_out", sv.bytesOut},
-                        {"net_batches", sv.batches},
-                        {"net_batched_ops", sv.batchedOps},
-                        {"net_accepted", sv.accepted},
-                        {"net_closed", sv.closed},
-                        {"net_protocol_errors", sv.protocolErrors},
-                        {"net_mode_errors", sv.modeErrors},
-                    };
-                    if (raw->store_->bytesMode()) {
-                        ZkvCompressionStats cp =
-                            raw->store_->compressionTotals();
-                        s.counters.emplace_back("compress_calls",
-                                                cp.compressCalls);
-                        s.counters.emplace_back("decompress_calls",
-                                                cp.decompressCalls);
-                        s.counters.emplace_back("raw_bytes_total",
-                                                cp.rawBytesTotal);
-                        s.counters.emplace_back("stored_bytes_total",
-                                                cp.storedBytesTotal);
-                        s.counters.emplace_back("resident_raw_bytes",
-                                                cp.residentRawBytes);
-                        s.counters.emplace_back("resident_stored_bytes",
-                                                cp.residentStoredBytes);
-                    }
-                    ZkvShardObs o = raw->store_->obsTotals();
-                    s.counters.emplace_back("net_ns", o.netNs);
-                    s.counters.emplace_back("lock_wait_ns", o.lockWaitNs);
+                    MetricsSample s = raw->store_->metricsSample();
+                    const ZkvServerStats sv = raw->stats();
+                    s.counters.insert(
+                        s.counters.end(),
+                        {{"net_frames_in", sv.framesIn},
+                         {"net_frames_out", sv.framesOut},
+                         {"net_bytes_in", sv.bytesIn},
+                         {"net_bytes_out", sv.bytesOut},
+                         {"net_batches", sv.batches},
+                         {"net_batched_ops", sv.batchedOps},
+                         {"net_accepted", sv.accepted},
+                         {"net_closed", sv.closed},
+                         {"net_protocol_errors", sv.protocolErrors},
+                         {"net_mode_errors", sv.modeErrors}});
                     return s;
                 });
         }

@@ -227,81 +227,7 @@ runLoadGen(const LoadGenConfig& cfg)
         const std::size_t nthreads = cfg.threads;
         snap = std::make_unique<MetricsSnapshotter>(
             std::move(mc), [st, live, bins, nthreads] {
-                MetricsSample s;
-                ZkvShardStats t = st->totals();
-                s.counters = {
-                    {"ops", t.gets + t.puts + t.erases},
-                    {"gets", t.gets},
-                    {"get_hits", t.getHits},
-                    {"puts", t.puts},
-                    {"put_inserts", t.putInserts},
-                    {"erases", t.erases},
-                    {"evictions", t.evictions},
-                    {"walk_candidates", t.walkCandidates},
-                    {"relocations", t.relocations},
-                };
-                ZkvShardObs o = st->obsTotals();
-                s.counters.emplace_back("lock_contended",
-                                        o.lockContended);
-                s.counters.emplace_back("lock_wait_ns", o.lockWaitNs);
-                if (st->bytesMode()) {
-                    ZkvCompressionStats cp = st->compressionTotals();
-                    s.counters.emplace_back("compress_calls",
-                                            cp.compressCalls);
-                    s.counters.emplace_back("decompress_calls",
-                                            cp.decompressCalls);
-                    s.counters.emplace_back("raw_bytes_total",
-                                            cp.rawBytesTotal);
-                    s.counters.emplace_back("stored_bytes_total",
-                                            cp.storedBytesTotal);
-                    s.counters.emplace_back("resident_raw_bytes",
-                                            cp.residentRawBytes);
-                    s.counters.emplace_back("resident_stored_bytes",
-                                            cp.residentStoredBytes);
-                }
-                if (st->config().readPath == ReadPath::Optimistic) {
-                    s.counters.emplace_back("get_optimistic",
-                                            o.getOptimistic);
-                    s.counters.emplace_back("get_retried", o.getRetried);
-                    s.counters.emplace_back("get_fallback",
-                                            o.getFallback);
-                }
-                if (st->persistEnabled()) {
-                    persist::PersistTier* tier = st->persistTier();
-                    persist::PersistShardCounters pc;
-                    for (std::uint32_t i = 0; i < tier->shardCount();
-                         i++) {
-                        persist::PersistShardCounters c =
-                            tier->counters(i);
-                        pc.appended += c.appended;
-                        pc.dropped += c.dropped;
-                        pc.blocked += c.blocked;
-                        pc.fsyncs += c.fsyncs;
-                        pc.snapshots += c.snapshots;
-                        pc.appendNs += c.appendNs;
-                        pc.fsyncNs += c.fsyncNs;
-                        pc.snapshotNs += c.snapshotNs;
-                        pc.queueDepth += c.queueDepth;
-                    }
-                    s.counters.emplace_back("persist_appended",
-                                            pc.appended);
-                    s.counters.emplace_back("persist_dropped",
-                                            pc.dropped);
-                    s.counters.emplace_back("persist_blocked",
-                                            pc.blocked);
-                    s.counters.emplace_back("persist_fsyncs",
-                                            pc.fsyncs);
-                    s.counters.emplace_back("persist_snapshots",
-                                            pc.snapshots);
-                    s.counters.emplace_back("persist_append_ns",
-                                            pc.appendNs);
-                    s.counters.emplace_back("persist_fsync_ns",
-                                            pc.fsyncNs);
-                    s.counters.emplace_back("persist_snapshot_ns",
-                                            pc.snapshotNs);
-                    s.counters.emplace_back("persist_queue_depth",
-                                            pc.queueDepth);
-                }
+                MetricsSample s = st->metricsSample();
                 s.latencyBins.assign(bins, 0);
                 for (std::size_t i = 0; i < nthreads * bins; i++) {
                     s.latencyBins[i % bins] +=

@@ -960,6 +960,74 @@ ZkvStore::obsTotals() const
     return t;
 }
 
+MetricsSample
+ZkvStore::metricsSample() const
+{
+    MetricsSample s;
+    const ZkvShardStats t = totals();
+    const ZkvShardObs o = obsTotals();
+    s.counters = {
+        {"ops", t.gets + t.puts + t.erases},
+        {"gets", t.gets},
+        {"get_hits", t.getHits},
+        {"puts", t.puts},
+        {"put_inserts", t.putInserts},
+        {"erases", t.erases},
+        {"evictions", t.evictions},
+        {"walk_candidates", t.walkCandidates},
+        {"relocations", t.relocations},
+        {"lock_contended", o.lockContended},
+        {"lock_wait_ns", o.lockWaitNs},
+        {"net_ns", o.netNs},
+    };
+    if (bytesMode()) {
+        const ZkvCompressionStats cp = compressionTotals();
+        s.counters.insert(s.counters.end(),
+                          {{"compress_calls", cp.compressCalls},
+                           {"decompress_calls", cp.decompressCalls},
+                           {"raw_bytes_total", cp.rawBytesTotal},
+                           {"stored_bytes_total", cp.storedBytesTotal}});
+        s.gauges.insert(
+            s.gauges.end(),
+            {{"resident_raw_bytes", static_cast<double>(cp.residentRawBytes)},
+             {"resident_stored_bytes",
+              static_cast<double>(cp.residentStoredBytes)}});
+    }
+    if (cfg_.readPath == ReadPath::Optimistic) {
+        s.counters.insert(s.counters.end(),
+                          {{"get_optimistic", o.getOptimistic},
+                           {"get_retried", o.getRetried},
+                           {"get_fallback", o.getFallback}});
+    }
+    if (persist_ != nullptr) {
+        persist::PersistShardCounters pc;
+        for (std::uint32_t i = 0; i < persist_->shardCount(); i++) {
+            const persist::PersistShardCounters c = persist_->counters(i);
+            pc.appended += c.appended;
+            pc.dropped += c.dropped;
+            pc.blocked += c.blocked;
+            pc.fsyncs += c.fsyncs;
+            pc.snapshots += c.snapshots;
+            pc.appendNs += c.appendNs;
+            pc.fsyncNs += c.fsyncNs;
+            pc.snapshotNs += c.snapshotNs;
+            pc.queueDepth += c.queueDepth;
+        }
+        s.counters.insert(s.counters.end(),
+                          {{"persist_appended", pc.appended},
+                           {"persist_dropped", pc.dropped},
+                           {"persist_blocked", pc.blocked},
+                           {"persist_fsyncs", pc.fsyncs},
+                           {"persist_snapshots", pc.snapshots},
+                           {"persist_append_ns", pc.appendNs},
+                           {"persist_fsync_ns", pc.fsyncNs},
+                           {"persist_snapshot_ns", pc.snapshotNs}});
+        s.gauges.emplace_back("persist_queue_depth",
+                              static_cast<double>(pc.queueDepth));
+    }
+    return s;
+}
+
 // ---- durability tier -----------------------------------------------
 
 void

@@ -47,6 +47,7 @@
 #include "common/stats_registry.hpp"
 #include "common/types.hpp"
 #include "compress/codec.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
 #include "persist/persist.hpp"
 
@@ -675,6 +676,19 @@ class ZkvStore
 
     /** Sum of all shards' attribution counters. */
     ZkvShardObs obsTotals() const;
+
+    /**
+     * The store's part of one metrics window (obs/metrics.hpp), the
+     * same for every producer: cumulative counters (op totals, walk
+     * candidates, relocations, lock contention and the attribution
+     * sums), plus the compression, optimistic-read and persist groups
+     * when those modes are on. Levels that can fall (resident bytes,
+     * persist queue depth) are gauges, so every counter's window
+     * deltas sum to its final value. Producers append their own
+     * series: the server its net_* counters, the load generator its
+     * latency bins.
+     */
+    MetricsSample metricsSample() const;
 
     // ---- durability tier (docs/durability.md) ----------------------
 

@@ -14,15 +14,20 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault_injection.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "net/client.hpp"
 #include "net/openloop.hpp"
@@ -732,6 +737,89 @@ TEST(NetServer, StatsReconcileFramesAndOps)
     EXPECT_LE(st.batches, st.batchedOps);
     EXPECT_EQ(st.accepted, 1u);
     EXPECT_EQ(st.closed, 1u);
+}
+
+// The server samples the same store counters as the load generator
+// (ZkvStore::metricsSample) and appends its net_* series: a durable
+// server exports the walk, lock and persist groups, and the windows
+// partition the run — every d_* column sums to its final value.
+TEST(NetServer, DurableMetricsCarryStoreCountersAndReconcile)
+{
+    namespace fs = std::filesystem;
+    const std::string base = ::testing::TempDir() + "zc_net_metrics_" +
+                             std::to_string(::getpid());
+    const std::string nd = base + ".ndjson";
+    fs::remove_all(base);
+
+    ZkvServerConfig cfg;
+    cfg.store = tinyStore();
+    cfg.store.persist.dataDir = base;
+    cfg.store.persist.fsync = persist::FsyncPolicy::Interval;
+    cfg.obs.metricsPath = nd;
+    cfg.obs.metricsIntervalMs = 5;
+    auto srv_or = ZkvServer::create(cfg);
+    ASSERT_TRUE(srv_or.hasValue()) << srv_or.status().str();
+    std::unique_ptr<ZkvServer> srv = std::move(*srv_or);
+    ASSERT_TRUE(srv->store().recover().hasValue());
+
+    // No ASSERT while the loop thread runs: it must be joined first.
+    auto traffic = [&] {
+        ZkvClientConfig c;
+        c.port = srv->port();
+        auto cl = ZkvClient::connect(c);
+        if (!cl.hasValue()) return false;
+        // 300 keys over 256 blocks: the puts walk and evict.
+        for (std::uint64_t i = 0; i < 3000; i++) {
+            if (!(*cl)->put(i % 300, i).hasValue() ||
+                !(*cl)->get((i * 7) % 300).hasValue()) {
+                return false;
+            }
+        }
+        return true;
+    };
+    Status served;
+    std::thread loop([&] { served = srv->serve(); });
+    const bool traffic_ok = traffic();
+    srv->shutdown();
+    loop.join();
+    ASSERT_TRUE(traffic_ok);
+    EXPECT_TRUE(served.isOk()) << served.str();
+    EXPECT_TRUE(srv->store().stopPersist().isOk());
+
+    std::vector<JsonValue> windows;
+    std::ifstream in(nd);
+    for (std::string line; std::getline(in, line);) {
+        auto rec = JsonValue::parse(line);
+        ASSERT_TRUE(rec.has_value()) << line;
+        windows.push_back(std::move(*rec));
+    }
+    ASSERT_FALSE(windows.empty());
+    const JsonValue& last = windows.back();
+    for (const char* name :
+         {"persist_appended", "walk_candidates", "lock_contended",
+          "net_frames_in"}) {
+        ASSERT_NE(last.find(name), nullptr) << name;
+    }
+    EXPECT_EQ(last.find("ops")->asU64(), 6000u);
+    EXPECT_GT(last.find("walk_candidates")->asU64(), 0u);
+    EXPECT_GT(last.find("persist_appended")->asU64(), 0u);
+
+    std::map<std::string, std::uint64_t> sums;
+    for (const JsonValue& w : windows) {
+        for (const auto& [key, v] : w.obj()) {
+            if (key.rfind("d_", 0) == 0) sums[key.substr(2)] += v.asU64();
+        }
+    }
+    EXPECT_FALSE(sums.empty());
+    for (const auto& [name, sum] : sums) {
+        const JsonValue* final_value = last.find(name);
+        ASSERT_NE(final_value, nullptr) << name;
+        EXPECT_EQ(sum, final_value->asU64()) << name;
+    }
+
+    srv.reset();
+    fs::remove_all(base);
+    fs::remove(nd);
 }
 
 // ---------------------------------------------------------------------

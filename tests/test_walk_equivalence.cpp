@@ -1,14 +1,23 @@
 /**
  * @file
- * Equivalence proofs for the walk hot-path optimizations: the
- * epoch-stamped flat candidate dedup and the batched/devirtualized
- * WayIndexer must be *bit-identical* to the reference implementation
- * (per-way virtual hash() calls + std::unordered_set dedup) that
- * ZArrayConfig::referenceWalk preserves. Identity is checked at every
- * level a divergence could hide: per-access hit/miss and Replacement
- * fields, aggregate ZWalkStats, the walk-event trace (ring and
- * streaming summary), and the final tag-array contents — across every
- * hash kind, walk strategy, candidate cap and the Bloom repeat filter.
+ * Equivalence proofs for the walk's hot-path evaluations.
+ *
+ * WalkEquivalence: a ZArray whose H3 family WayIndexer tabulates must be
+ * *bit-identical* to the same ZArray over the same family evaluated
+ * through the virtual HashFunction::hash(). The reference array wraps
+ * each hash in a test-local ForwardingHash, which the indexer cannot
+ * tabulate. Identity is checked at every level a divergence could
+ * hide: per-access hit/miss and Replacement fields, aggregate
+ * ZWalkStats, the walk-event trace (ring and streaming summary), and
+ * the final tag-array contents — across every hash kind, walk
+ * strategy, candidate cap and the Bloom repeat filter. Only H3 is
+ * tabulated, so for the other kinds both arrays evaluate hash() and
+ * those cases check only that the walk is deterministic.
+ *
+ * EpochSet: the walk's candidate dedup must agree with
+ * std::unordered_set op by op, start empty, and survive the uint32
+ * epoch wrap. WayIndexer: the table must agree with hash() for every
+ * way the lanes can pack.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +26,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "cache/array_factory.hpp"
@@ -31,17 +42,50 @@ namespace {
 
 constexpr std::uint32_t kBlocks = 1024; // e.g. 4 ways x 256 lines
 constexpr std::uint64_t kFootprint = 4096;
+// Odd, so multiplying is a bijection: spreads the footprint over all 64
+// address bits, reaching every nibble table of the H3 tabulation.
+constexpr Addr kSpread = 0x9e3779b97f4a7c15ULL;
 
-std::unique_ptr<ZArray>
-makeArray(ZArrayConfig cfg, bool reference, PolicyKind pk)
+/**
+ * Forwards to a wrapped hash. It is not an H3Hash, so WayIndexer cannot
+ * tabulate a family of them and evaluates every position through the
+ * virtual hash().
+ */
+class ForwardingHash final : public HashFunction
 {
-    cfg.referenceWalk = reference;
-    return std::make_unique<ZArray>(kBlocks, cfg,
-                                    makePolicy(pk, kBlocks, 99));
+  public:
+    explicit ForwardingHash(HashPtr inner) : inner_(std::move(inner)) {}
+
+    std::uint64_t hash(Addr a) const override { return inner_->hash(a); }
+    std::uint64_t buckets() const override { return inner_->buckets(); }
+    std::string name() const override { return inner_->name(); }
+
+  private:
+    HashPtr inner_;
+};
+
+/**
+ * The array @p cfg describes; with @p reference, over the same family
+ * wrapped in ForwardingHash so that no position comes from the table.
+ */
+std::unique_ptr<ZArray>
+makeArray(const ZArrayConfig& cfg, bool reference, PolicyKind pk)
+{
+    auto policy = makePolicy(pk, kBlocks, 99);
+    if (!reference) {
+        return std::make_unique<ZArray>(kBlocks, cfg, std::move(policy));
+    }
+    std::vector<HashPtr> fam;
+    for (auto& h :
+         makeHashFamily(cfg.hashKind, cfg.ways, kBlocks / cfg.ways, cfg.seed)) {
+        fam.push_back(std::make_unique<ForwardingHash>(std::move(h)));
+    }
+    return std::make_unique<ZArray>(kBlocks, cfg, std::move(policy),
+                                    std::move(fam));
 }
 
 /**
- * Drive the optimized and reference arrays with the same stream and
+ * Drive the tabulated and virtual-hash arrays with the same stream and
  * require identical behaviour at every step and in every aggregate.
  */
 void
@@ -52,7 +96,7 @@ expectEquivalent(const ZArrayConfig& cfg, PolicyKind pk, int accesses,
     auto ref = makeArray(cfg, true, pk);
     Pcg32 rng(7);
     for (int i = 0; i < accesses; i++) {
-        Addr a = rng.next64() % kFootprint;
+        Addr a = rng.next64() % kFootprint * kSpread;
         AccessContext ctx;
         ctx.lineAddr = a;
         BlockPos pf = fast->access(a, ctx);
@@ -135,8 +179,9 @@ comboLabel(HashKind hk, WalkStrategy ws, std::uint32_t cap, bool bloom)
     return s;
 }
 
-// Every hash kind x every walk strategy, uncapped, trace on. Sha1 has
-// no WayIndexer specialization and exercises the Generic fallback.
+// Every hash kind x every walk strategy, uncapped, trace on. Only the
+// H3 cases compare the table with hash(); the rest run hash() on both
+// sides and check determinism.
 TEST(WalkEquivalence, AllHashKindsAllStrategies)
 {
     for (HashKind hk : kAllHashKinds) {
@@ -154,8 +199,8 @@ TEST(WalkEquivalence, AllHashKindsAllStrategies)
     }
 }
 
-// The early-stop cap changes which candidates exist at all, so the
-// dedup rewrite must agree about *order* of discovery, not just the
+// The early-stop cap changes which candidates exist at all, so the two
+// evaluations must agree about *order* of discovery, not just the
 // final set. A tight cap makes any ordering slip visible immediately.
 TEST(WalkEquivalence, CandidateCaps)
 {
@@ -175,7 +220,7 @@ TEST(WalkEquivalence, CandidateCaps)
 }
 
 // The Bloom repeat filter marks nodes before dedup sees them; both
-// paths must count repeats identically.
+// arrays must count repeats identically.
 TEST(WalkEquivalence, BloomRepeatFilter)
 {
     for (WalkStrategy ws : {WalkStrategy::Bfs, WalkStrategy::Dfs}) {
@@ -217,6 +262,48 @@ TEST(WalkEquivalence, DegenerateAndWideShapes)
         cfg.traceCapacity = 32;
         expectEquivalent(cfg, PolicyKind::Srrip, 3000, "h3/bfs/W16L2");
     }
+}
+
+// ---------------------------------------------------------- EpochSet
+
+TEST(EpochSet, FreshSetIsEmpty)
+{
+    EpochSet set(64);
+    for (BlockPos p = 0; p < 64; p++) EXPECT_TRUE(set.insert(p)) << p;
+}
+
+TEST(EpochSet, MatchesUnorderedSetOpByOp)
+{
+    EpochSet set(64);
+    std::unordered_set<BlockPos> ref;
+    Pcg32 rng(5);
+    for (int i = 0; i < 200000; i++) {
+        if (rng.below(8) == 0) {
+            set.clear();
+            ref.clear();
+            continue;
+        }
+        const BlockPos p = rng.below(64);
+        ASSERT_EQ(set.insert(p), ref.insert(p).second) << "op " << i;
+    }
+}
+
+// 2^32 clears take the uint32 epoch round once. The stamps must be
+// re-zeroed on the wrap, and the epoch must skip 0 (every fresh stamp):
+// without the re-zero a stamp reads as current again after 2^32 - 1
+// clears, and an epoch allowed to reach 0 repeats after 2^32.
+TEST(EpochSet, EpochWrapForgetsOldStamps)
+{
+    EpochSet set(4);
+    ASSERT_TRUE(set.insert(1));
+    ASSERT_TRUE(set.insert(2));
+    for (std::uint64_t i = 0; i < (std::uint64_t{1} << 32) - 1; i++) {
+        set.clear();
+    }
+    EXPECT_TRUE(set.insert(1));
+    EXPECT_TRUE(set.insert(3));
+    set.clear();
+    EXPECT_TRUE(set.insert(2));
 }
 
 // ------------------------------------------- Compressed degeneration
@@ -298,8 +385,8 @@ TEST(WalkEquivalence, CompressedNullCodecRatio1IsBitIdentical)
 
 // ------------------------------------------------------- WayIndexer
 
-// For every specializable kind, the indexer must (a) leave the virtual
-// path, and (b) agree with the virtual hashes on every way for a large
+// For every kind, the indexer must (a) tabulate exactly the H3 families,
+// and (b) agree with the virtual hashes on every way for a large
 // address sample — including the batched positionsAll entry point the
 // walk actually uses, and the probe/lookupWays of a ZArray built over
 // the same family. The shapes cover every way H3 lanes can pack: one
@@ -331,12 +418,7 @@ TEST(WayIndexer, MatchesVirtualHashesForEveryKind)
                                       std::to_string(s.lines);
             auto fam = makeHashFamily(hk, s.ways, s.lines, 0x5eed);
             WayIndexer idx(fam, s.lines);
-            if (hk == HashKind::Sha1) {
-                EXPECT_FALSE(idx.devirtualized());
-                EXPECT_STREQ(idx.modeName(), "generic-virtual");
-            } else {
-                EXPECT_TRUE(idx.devirtualized()) << label;
-            }
+            EXPECT_EQ(idx.tabulated(), hk == HashKind::H3) << label;
             ZArrayConfig cfg;
             cfg.ways = s.ways;
             cfg.hashKind = hk;
@@ -388,7 +470,7 @@ TEST(WayIndexer, MatchesVirtualHashesForEveryKind)
     }
 }
 
-// A mixed family must stay on the virtual path — specializing on the
+// A mixed family must stay on the virtual path — tabulating on the
 // first way's type would silently evaluate the wrong function.
 TEST(WayIndexer, MixedFamilyFallsBackToGeneric)
 {
@@ -397,7 +479,7 @@ TEST(WayIndexer, MixedFamilyFallsBackToGeneric)
     fam.push_back(makeHash(HashKind::H3, lines, 1));
     fam.push_back(makeHash(HashKind::FoldedXor, lines, 2));
     WayIndexer idx(fam, lines);
-    EXPECT_FALSE(idx.devirtualized());
+    EXPECT_FALSE(idx.tabulated());
     Pcg32 rng(3);
     for (int i = 0; i < 1000; i++) {
         Addr a = rng.next64();
