@@ -98,8 +98,11 @@
  * stdout is NOT deterministic — every row carries wall-clock-derived
  * throughput. In the JSON report, run "stats" blocks are deterministic
  * for threads=1 points; "timing" tags and the top-level "perf" block
- * are wall-clock (docs/observability.md).
+ * are wall-clock (docs/observability.md). The top-level "host" block
+ * records the CPUs the process may run on (sched_getaffinity).
  */
+
+#include <sched.h>
 
 #include <cinttypes>
 #include <cstdio>
@@ -471,6 +474,15 @@ main(int argc, char** argv)
     }
 
     JsonReport report(argc, argv, "store_loadgen");
+    // The CPUs this process may run on, so a scaling ratio can be read
+    // against the host: 8 workers on 4 CPUs cannot scale like 8 on 8.
+    cpu_set_t cpus;
+    CPU_ZERO(&cpus);
+    const int ncpus =
+        sched_getaffinity(0, sizeof(cpus), &cpus) == 0 ? CPU_COUNT(&cpus) : 0;
+    JsonValue host = JsonValue::object();
+    host.set("cpus", JsonValue(static_cast<std::uint64_t>(ncpus)));
+    report.setBlock("host", std::move(host));
 
     SweepOptions opts = sweepOptions(argc, argv, "store_loadgen");
     // Points are themselves multithreaded: measure one at a time

@@ -118,11 +118,13 @@ def main():
 
     ratio = None
     at = by_threads.get(args.at_threads)
+    # Reports from before the host block carry no CPU count.
+    cpus = doc.get("host", {}).get("cpus", "?")
     if base is not None and base.get("gets_per_sec", 0) > 0 and at:
         ratio = at["gets_per_sec"] / base["gets_per_sec"]
         print(f"get throughput at {args.at_threads} threads: "
               f"{ratio:.2f}x the 1-thread baseline "
-              f"(floor: {args.min_ratio:.2f}x)\n")
+              f"(floor: {args.min_ratio:.2f}x) on {cpus} CPUs\n")
 
     if args.validate:
         if at is None:
@@ -133,7 +135,7 @@ def main():
             violations.append(
                 f"get throughput at {args.at_threads} threads is only "
                 f"{ratio:.2f}x the 1-thread baseline "
-                f"(floor {args.min_ratio:.2f}x)")
+                f"(floor {args.min_ratio:.2f}x) on {cpus} CPUs")
         R.finish(violations)
     return 0
 

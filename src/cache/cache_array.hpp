@@ -168,8 +168,21 @@ class CacheArray
     ReplacementPolicy& policy() { return *policy_; }
     const ReplacementPolicy& policy() const { return *policy_; }
 
-    const ArrayStats& stats() const { return stats_; }
-    virtual void resetStats() { stats_.reset(); }
+    const ArrayStats& stats() const { return *stats_; }
+    virtual void resetStats() { stats_->reset(); }
+
+    /**
+     * Keep this array's ArrayStats at @p slot from now on instead of
+     * inside the object; the counts so far move with them. The store
+     * puts them on its shard's hot cache line (docs/store.md, "Shard
+     * layout"). @p slot must outlive the array.
+     */
+    void
+    placeStats(ArrayStats* slot)
+    {
+        *slot = *stats_;
+        stats_ = slot;
+    }
 
     /**
      * Register this array's stats into @p g (zsim's initStats idiom).
@@ -191,13 +204,13 @@ class CacheArray
             return std::uint64_t{validCount()};
         });
         g.addCounter("tag_reads", "tag-array read operations",
-                     [this] { return stats_.tagReads; });
+                     [this] { return stats_->tagReads; });
         g.addCounter("tag_writes", "tag-array write operations",
-                     [this] { return stats_.tagWrites; });
+                     [this] { return stats_->tagWrites; });
         g.addCounter("data_reads", "data-array read operations",
-                     [this] { return stats_.dataReads; });
+                     [this] { return stats_->dataReads; });
         g.addCounter("data_writes", "data-array write operations",
-                     [this] { return stats_.dataWrites; });
+                     [this] { return stats_->dataWrites; });
         g.addResetHook([this] { resetStats(); });
     }
 
@@ -216,8 +229,11 @@ class CacheArray
 
     std::uint32_t numBlocks_;
     std::unique_ptr<ReplacementPolicy> policy_;
-    ArrayStats stats_;
+    ArrayStats* stats_ = &ownStats_; ///< see placeStats()
     EvictionObserver observer_;
+
+  private:
+    ArrayStats ownStats_;
 };
 
 } // namespace zc

@@ -28,26 +28,26 @@ ColumnAssociativeArray::swap(BlockPos a, BlockPos b)
     std::swap(tags_[a], tags_[b]);
     std::swap(rehash_[a], rehash_[b]);
     policy_->onSwap(a, b);
-    stats_.tagReads += 2;
-    stats_.tagWrites += 2;
-    stats_.dataReads += 2;
-    stats_.dataWrites += 2;
+    stats_->tagReads += 2;
+    stats_->tagWrites += 2;
+    stats_->dataReads += 2;
+    stats_->dataWrites += 2;
 }
 
 BlockPos
 ColumnAssociativeArray::access(Addr lineAddr, const AccessContext& ctx)
 {
     BlockPos p1 = primary(lineAddr);
-    stats_.tagReads++;
+    stats_->tagReads++;
     if (tags_[p1] == lineAddr) {
-        stats_.dataReads++;
+        stats_->dataReads++;
         policy_->onHit(p1, ctx);
         return p1;
     }
 
     // Second probe (variable hit latency — the design's cost).
     BlockPos p2 = secondary(lineAddr);
-    stats_.tagReads++;
+    stats_->tagReads++;
     if (tags_[p2] != lineAddr) return kInvalidPos;
 
     secondaryHits_++;
@@ -61,11 +61,11 @@ ColumnAssociativeArray::access(Addr lineAddr, const AccessContext& ctx)
         tags_[p2] = kInvalidAddr;
         rehash_[p1] = 0;
         policy_->onMove(p2, p1);
-        stats_.tagWrites += 2;
-        stats_.dataReads++;
-        stats_.dataWrites++;
+        stats_->tagWrites += 2;
+        stats_->dataReads++;
+        stats_->dataWrites++;
     }
-    stats_.dataReads++;
+    stats_->dataReads++;
     policy_->onHit(p1, ctx);
     return p1;
 }
@@ -110,8 +110,8 @@ ColumnAssociativeArray::insert(Addr lineAddr, const AccessContext& ctx)
     r.victimPos = slot;
     tags_[slot] = lineAddr;
     rehash_[slot] = (slot == p2) ? 1 : 0;
-    stats_.tagWrites++;
-    stats_.dataWrites++;
+    stats_->tagWrites++;
+    stats_->dataWrites++;
     valid_++;
     policy_->onInsert(slot, ctx);
     return r;
@@ -124,7 +124,7 @@ ColumnAssociativeArray::invalidate(Addr lineAddr)
     if (pos == kInvalidPos) return false;
     tags_[pos] = kInvalidAddr;
     rehash_[pos] = 0;
-    stats_.tagWrites++;
+    stats_->tagWrites++;
     policy_->onEvict(pos);
     valid_--;
     return true;

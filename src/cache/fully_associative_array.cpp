@@ -22,10 +22,10 @@ FullyAssociativeArray::FullyAssociativeArray(
 BlockPos
 FullyAssociativeArray::access(Addr lineAddr, const AccessContext& ctx)
 {
-    stats_.tagReads++; // one CAM search
+    stats_->tagReads++; // one CAM search
     auto it = index_.find(lineAddr);
     if (it == index_.end()) return kInvalidPos;
-    stats_.dataReads++;
+    stats_->dataReads++;
     policy_->onHit(it->second, ctx);
     return it->second;
 }
@@ -70,8 +70,8 @@ FullyAssociativeArray::insert(Addr lineAddr, const AccessContext& ctx)
     r.victimPos = pos;
     tags_[pos] = lineAddr;
     index_.emplace(lineAddr, pos);
-    stats_.tagWrites++;
-    stats_.dataWrites++;
+    stats_->tagWrites++;
+    stats_->dataWrites++;
     policy_->onInsert(pos, ctx);
     return r;
 }
@@ -85,7 +85,7 @@ FullyAssociativeArray::invalidate(Addr lineAddr)
     index_.erase(it);
     tags_[pos] = kInvalidAddr;
     freeList_.push_back(pos);
-    stats_.tagWrites++;
+    stats_->tagWrites++;
     policy_->onEvict(pos);
     return true;
 }

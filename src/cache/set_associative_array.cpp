@@ -34,11 +34,11 @@ SetAssociativeArray::access(Addr lineAddr, const AccessContext& ctx)
 {
     std::uint64_t set = setOf(lineAddr);
     // One associative tag lookup reads all W tags of the set.
-    stats_.tagReads += ways_;
+    stats_->tagReads += ways_;
     BlockPos base = static_cast<BlockPos>(set * ways_);
     for (std::uint32_t w = 0; w < ways_; w++) {
         if (tags_[base + w] == lineAddr) {
-            stats_.dataReads++;
+            stats_->dataReads++;
             policy_->onHit(base + w, ctx);
             return base + w;
         }
@@ -100,8 +100,8 @@ SetAssociativeArray::insert(Addr lineAddr, const AccessContext& ctx)
 
     r.victimPos = victim;
     tags_[victim] = lineAddr;
-    stats_.tagWrites++;
-    stats_.dataWrites++;
+    stats_->tagWrites++;
+    stats_->dataWrites++;
     valid_++;
     policy_->onInsert(victim, ctx);
     return r;
@@ -113,7 +113,7 @@ SetAssociativeArray::invalidate(Addr lineAddr)
     BlockPos pos = probe(lineAddr);
     if (pos == kInvalidPos) return false;
     tags_[pos] = kInvalidAddr;
-    stats_.tagWrites++;
+    stats_->tagWrites++;
     policy_->onEvict(pos);
     valid_--;
     return true;

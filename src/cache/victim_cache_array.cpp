@@ -62,16 +62,16 @@ VictimCacheArray::probe(Addr lineAddr) const
 BlockPos
 VictimCacheArray::access(Addr lineAddr, const AccessContext& ctx)
 {
-    stats_.tagReads += ways_;
+    stats_->tagReads += ways_;
     BlockPos pos = probeMain(lineAddr);
     if (pos != kInvalidPos) {
-        stats_.dataReads++;
+        stats_->dataReads++;
         policy_->onHit(pos, ctx);
         return pos;
     }
 
     // Main miss: probe the victim buffer (one CAM search).
-    stats_.tagReads++;
+    stats_->tagReads++;
     BlockPos vpos = probeVictim(lineAddr);
     if (vpos == kInvalidPos) return kInvalidPos;
 
@@ -102,15 +102,15 @@ VictimCacheArray::access(Addr lineAddr, const AccessContext& ctx)
         victimIndex_.emplace(displaced, vpos);
         policy_->onMove(mpos, vpos);
         tags_[mpos] = kInvalidAddr;
-        stats_.tagWrites++;
-        stats_.dataReads++;
-        stats_.dataWrites++;
+        stats_->tagWrites++;
+        stats_->dataReads++;
+        stats_->dataWrites++;
     }
 
     tags_[mpos] = lineAddr;
-    stats_.tagWrites++;
-    stats_.dataReads++; // serve the hit from the promoted block
-    stats_.dataWrites++;
+    stats_->tagWrites++;
+    stats_->dataReads++; // serve the hit from the promoted block
+    stats_->dataWrites++;
     valid_++;
     policy_->onInsert(mpos, ctx);
     return mpos;
@@ -148,9 +148,9 @@ VictimCacheArray::parkInVictim(Addr addr, BlockPos from_main,
     victimIndex_.emplace(addr, slot);
     policy_->onMove(from_main, slot);
     tags_[from_main] = kInvalidAddr;
-    stats_.tagWrites++;
-    stats_.dataReads++;
-    stats_.dataWrites++;
+    stats_->tagWrites++;
+    stats_->dataReads++;
+    stats_->dataWrites++;
     r->relocations++;
 }
 
@@ -181,8 +181,8 @@ VictimCacheArray::insert(Addr lineAddr, const AccessContext& ctx)
     if (r.victimPos == kInvalidPos) r.victimPos = mpos;
 
     tags_[mpos] = lineAddr;
-    stats_.tagWrites++;
-    stats_.dataWrites++;
+    stats_->tagWrites++;
+    stats_->dataWrites++;
     valid_++;
     policy_->onInsert(mpos, ctx);
     return r;
@@ -198,7 +198,7 @@ VictimCacheArray::invalidate(Addr lineAddr)
         victimIndex_.erase(lineAddr);
     }
     tags_[pos] = kInvalidAddr;
-    stats_.tagWrites++;
+    stats_->tagWrites++;
     policy_->onEvict(pos);
     valid_--;
     return true;

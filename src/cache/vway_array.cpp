@@ -56,11 +56,11 @@ VWayArray::findTag(Addr lineAddr) const
 BlockPos
 VWayArray::access(Addr lineAddr, const AccessContext& ctx)
 {
-    stats_.tagReads += tagWays_;
+    stats_->tagReads += tagWays_;
     std::uint32_t t = findTag(lineAddr);
     if (t == kNoTag) return kInvalidPos;
     BlockPos data = tags_[t].dataIdx;
-    stats_.dataReads++;
+    stats_->dataReads++;
     policy_->onHit(data, ctx);
     return data;
 }
@@ -80,7 +80,7 @@ VWayArray::freeDataOfTag(std::uint32_t tag_idx)
     dataOwner_[e.dataIdx] = kNoTag;
     freeData_.push_back(e.dataIdx);
     e = TagEntry{};
-    stats_.tagWrites++;
+    stats_->tagWrites++;
 }
 
 Replacement
@@ -145,13 +145,13 @@ VWayArray::insert(Addr lineAddr, const AccessContext& ctx)
         freeDataOfTag(victim_tag);
         data = freeData_.back();
         freeData_.pop_back();
-        stats_.tagReads++; // victim tag access via back-pointer
+        stats_->tagReads++; // victim tag access via back-pointer
     }
 
     tags_[tag_idx] = TagEntry{lineAddr, data};
     dataOwner_[data] = tag_idx;
-    stats_.tagWrites++;
-    stats_.dataWrites++;
+    stats_->tagWrites++;
+    stats_->dataWrites++;
     policy_->onInsert(data, ctx);
     return r;
 }

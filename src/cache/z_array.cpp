@@ -69,10 +69,10 @@ BlockPos
 ZArray::access(Addr lineAddr, const AccessContext& ctx)
 {
     // A lookup reads one tag per way (each way has its own index).
-    stats_.tagReads += cfg_.ways;
+    stats_->tagReads += cfg_.ways;
     const BlockPos pos = ZArray::probe(lineAddr);
     if (pos == kInvalidPos) return kInvalidPos;
-    stats_.dataReads++;
+    stats_->dataReads++;
     policy_->onHit(pos, ctx);
     return pos;
 }
@@ -143,7 +143,7 @@ ZArray::expandNode(std::uint32_t node_idx)
             zstats_.repeatsTotal++;
             return false;
         }
-        stats_.tagReads++;
+        stats_->tagReads++;
         pushNode(pos, w, parent);
         return walkFoundEmpty_ || walkCapped_;
     });
@@ -216,7 +216,7 @@ ZArray::walkDfs(Addr incoming)
             zstats_.repeatsTotal++;
             break;
         }
-        stats_.tagReads++;
+        stats_->tagReads++;
         pushNode(pos, w, cur);
         cur = static_cast<std::int32_t>(nodes_.size()) - 1;
         if (walkFoundEmpty_) break;
@@ -299,10 +299,10 @@ ZArray::commit(Addr lineAddr, const AccessContext& ctx,
         tags_[child.pos] = par.addr;
         tags_[par.pos] = kInvalidAddr;
         policy_->onMove(par.pos, child.pos);
-        stats_.tagReads++;
-        stats_.tagWrites++;
-        stats_.dataReads++;
-        stats_.dataWrites++;
+        stats_->tagReads++;
+        stats_->tagWrites++;
+        stats_->dataReads++;
+        stats_->dataWrites++;
         r.relocations++;
         cur = nodes_[cur].parent;
     }
@@ -310,8 +310,8 @@ ZArray::commit(Addr lineAddr, const AccessContext& ctx,
     BlockPos root_pos = nodes_[cur].pos;
     zc_assert(tags_[root_pos] == kInvalidAddr);
     tags_[root_pos] = lineAddr;
-    stats_.tagWrites++;
-    stats_.dataWrites++;
+    stats_->tagWrites++;
+    stats_->dataWrites++;
     valid_++;
     policy_->onInsert(root_pos, ctx);
 
@@ -519,7 +519,7 @@ ZArray::invalidate(Addr lineAddr)
     BlockPos pos = probe(lineAddr);
     if (pos == kInvalidPos) return false;
     tags_[pos] = kInvalidAddr;
-    stats_.tagWrites++;
+    stats_->tagWrites++;
     policy_->onEvict(pos);
     valid_--;
     return true;

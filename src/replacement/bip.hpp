@@ -49,7 +49,7 @@ class BipPolicy final : public LruPolicy
         // older than every normally-touched block — the next natural
         // victim unless it hits first. Ties among LRU-inserted blocks
         // break by position, as a per-set hardware BIP would.
-        counter_++;
+        ++*clock_;
         timestamps_[pos] = 1;
     }
 

@@ -67,24 +67,39 @@ class LruPolicy : public ReplacementPolicy
     double
     score(BlockPos pos) const override
     {
-        return -static_cast<double>(counter_ - timestamps_[pos]);
+        return -static_cast<double>(*clock_ - timestamps_[pos]);
     }
 
     std::string name() const override { return "lru"; }
 
     std::uint64_t timestampOf(BlockPos pos) const { return timestamps_[pos]; }
-    std::uint64_t counter() const { return counter_; }
+    std::uint64_t counter() const { return *clock_; }
+
+    /**
+     * Keep the global access counter at @p slot from now on instead of
+     * inside the policy; its count moves with it. Every touch writes
+     * the counter, so the store puts it on its shard's hot cache line
+     * (docs/store.md, "Shard layout"). @p slot must outlive the policy.
+     */
+    void
+    placeClock(std::uint64_t* slot)
+    {
+        *slot = *clock_;
+        clock_ = slot;
+    }
 
   protected:
     void
     touch(BlockPos pos)
     {
-        counter_++;
-        timestamps_[pos] = counter_;
+        timestamps_[pos] = ++*clock_;
     }
 
-    std::uint64_t counter_ = 0;
+    std::uint64_t* clock_ = &ownClock_; ///< see placeClock()
     std::vector<std::uint64_t> timestamps_;
+
+  private:
+    std::uint64_t ownClock_ = 0;
 };
 
 } // namespace zc

@@ -251,7 +251,10 @@ runLoadGen(const LoadGenConfig& cfg)
     workers.reserve(cfg.threads);
     for (std::uint32_t tid = 0; tid < cfg.threads; tid++) {
         workers.emplace_back([&, tid] {
-            ThreadStats& ts = result.perThread[tid];
+            // Counted locally and moved into the result after the loop:
+            // neighbouring ThreadStats in result.perThread share cache
+            // lines, and every op writes its counters.
+            ThreadStats ts(cfg.latencyBins);
             GeneratorPtr gen = WorkloadRegistry::makeCoreGenerator(
                 *profile, tid, cfg.threads, cfg.seed);
             // Bytes mode: per-thread payload buffers, reused per op.
@@ -360,6 +363,7 @@ runLoadGen(const LoadGenConfig& cfg)
             }
             ends[tid] = Clock::now();
             ts.seconds = std::chrono::duration<double>(ends[tid] - t0).count();
+            result.perThread[tid] = std::move(ts);
         });
     }
 

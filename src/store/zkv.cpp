@@ -6,15 +6,78 @@
 
 #include "store/zkv.hpp"
 
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <mutex>
 #include <utility>
 
 #include "common/fault_injection.hpp"
 #include "common/log.hpp"
 #include "obs/tracer.hpp"
+#include "replacement/lru.hpp"
 
 namespace zc {
+
+namespace {
+
+/** The spin-wait hint: `pause` on x86, `yield` on Arm. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+                  std::atomic<std::uint32_t>::is_always_lock_free,
+              "the futex syscall takes the lock word's address");
+
+void
+futex(std::atomic<std::uint32_t>& word, int op, std::uint32_t val)
+{
+    syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word), op, val,
+            nullptr, nullptr, 0);
+}
+
+} // namespace
+
+void
+ShardLock::lockSlow(std::uint32_t& spins)
+{
+    if (kind_ == ShardLockKind::Spin) {
+        do {
+            while (word_.load(std::memory_order_relaxed) != 0) {
+                cpuRelax();
+                spins++;
+            }
+        } while (word_.exchange(1, std::memory_order_acquire) != 0);
+        return;
+    }
+    for (std::uint32_t i = 0; i < kSpinBound; i++) {
+        cpuRelax();
+        spins++;
+        if (word_.load(std::memory_order_relaxed) == 0 && tryLock()) return;
+    }
+    // Park. Storing 2 makes the holder's unlock() wake a waiter; an
+    // exchange that finds the word free has taken the lock, leaving 2
+    // behind, which at worst costs one spare wake.
+    while (word_.exchange(2, std::memory_order_acquire) != 0) {
+        futex(word_, FUTEX_WAIT_PRIVATE, 2);
+    }
+}
+
+void
+ShardLock::wake()
+{
+    futex(word_, FUTEX_WAKE_PRIVATE, 1);
+}
 
 namespace {
 
@@ -233,16 +296,43 @@ class ValueMirror final : public ReplacementPolicy
 
 } // namespace
 
+/*
+ * Shard layout (docs/store.md). Every worker that reaches a shard
+ * writes its hot words, so they share one 64-byte line:
+ *  - line 0, `hot`: the lock word and every word a locked get writes —
+ *    the get counters, the array's ArrayStats and the LRU clock. A get
+ *    hit writes this line and the hit entry's timestamp, nothing else;
+ *  - line 1: the array and mirror pointers, read-only after create(),
+ *    so no op's write evicts them from another core;
+ *  - then the colder lines: the put/erase counters and the seqlock
+ *    word (written by puts and erases), the traced-path sums (written
+ *    only by SpanProbe) and the lock-free read counters.
+ */
 struct ZkvStore::Shard
 {
-    explicit Shard(ShardLockKind lock_kind) : lock(lock_kind) {}
+    explicit Shard(ShardLockKind lock_kind) : hot(lock_kind) {}
 
-    ShardLock lock;
-    ShardSeq seq; ///< odd while a locked writer mutates the shard
-    std::unique_ptr<CacheArray> array;
+    struct alignas(64) Hot
+    {
+        explicit Hot(ShardLockKind lock_kind) : lock(lock_kind) {}
+
+        ShardLock lock;
+        std::uint64_t gets = 0;     ///< locked gets
+        std::uint64_t getHits = 0;  ///< ...that found the key
+        ArrayStats arrayStats;      ///< CacheArray::placeStats target
+        std::uint64_t lruClock = 0; ///< LruPolicy::placeClock target
+    };
+    static_assert(sizeof(Hot) == 64, "a locked get writes one shared line");
+
+    Hot hot;
+
+    alignas(64) std::unique_ptr<CacheArray> array;
     ValueMirror* mirror = nullptr; ///< owned by array's policy chain
-    ZkvShardStats stats;
-    ZkvShardObs obs; ///< written only by the SpanProbe op core
+
+    // The gets and getHits fields here stay 0: they count in `hot`.
+    alignas(64) ZkvShardStats stats;
+    ShardSeq seq;        ///< odd while a locked writer mutates the shard
+    ZkvShardObs obs;     ///< written only by the SpanProbe op core
     ZkvSeqCounters seqc; ///< lock-free read-path counters (relaxed)
 
     /**
@@ -293,17 +383,21 @@ ZkvStore::create(const ZkvConfig& cfg)
                 std::to_string(i) + ")");
         }
         ArraySpec spec = cfg.shardSpec(i);
+        auto shard = std::make_unique<Shard>(cfg.lock);
         // Same inner-policy construction as the one-argument makeArray,
         // so a bare makeArray(shardSpec(i)) reproduces this shard's
         // walk decisions exactly (tests/test_store.cpp relies on it).
-        auto mirror = std::make_unique<ValueMirror>(
-            makePolicy(spec.policy, policyBlocksFor(spec),
-                       spec.seed ^ 0x9d2c),
-            cfg.value);
-        ValueMirror* mirror_ptr = mirror.get();
-        auto shard = std::make_unique<Shard>(cfg.lock);
+        // Only where the counters live differs: on the hot line.
+        auto inner = makePolicy(spec.policy, policyBlocksFor(spec),
+                                spec.seed ^ 0x9d2c);
+        if (auto* lru = dynamic_cast<LruPolicy*>(inner.get())) {
+            lru->placeClock(&shard->hot.lruClock);
+        }
+        auto mirror = std::make_unique<ValueMirror>(std::move(inner),
+                                                    cfg.value);
+        shard->mirror = mirror.get();
         shard->array = makeArray(spec, std::move(mirror));
-        shard->mirror = mirror_ptr;
+        shard->array->placeStats(&shard->hot.arrayStats);
         if (i == 0 && cfg.readPath == ReadPath::Optimistic) {
             // The lock-free reader computes a key's candidate positions
             // itself; an array kind that cannot enumerate them (victim
@@ -532,7 +626,7 @@ template <class Probe>
 ZkvStore::getStep(Shard& sh, const StoreBatchOp& op, StoreBatchResult& res,
                   Probe& probe, Status* why)
 {
-    sh.stats.gets++;
+    sh.hot.gets++;
     // An optimistic-mode get lands here as a lock-free fallback or as a
     // get in a batch with writes, and is answered by probe, not access:
     // optimistic gets never promote, so eviction stays a pure function
@@ -546,7 +640,7 @@ ZkvStore::getStep(Shard& sh, const StoreBatchOp& op, StoreBatchResult& res,
         probe.flag(kObsFlagOptimistic | kObsFlagSeqFallback);
     }
     if (pos == kInvalidPos) return;
-    sh.stats.getHits++;
+    sh.hot.getHits++;
     if (bytesMode()) {
         const std::vector<std::uint8_t>& stored = sh.mirror->bytesAt(pos);
         res.valueBytes.resize(cfg_.value.maxBytes);
@@ -703,7 +797,6 @@ ZkvStore::runBatch(std::uint32_t shard, std::span<const StoreBatchOp> ops,
         auto bump = [](std::atomic<std::uint64_t>& c, std::uint64_t n) {
             if (n != 0) c.fetch_add(n, std::memory_order_relaxed);
         };
-        bump(sh.seqc.gets, ops.size() - fell.size());
         bump(sh.seqc.optimistic, ops.size() - fell.size());
         bump(sh.seqc.getHits, nHit);
         bump(sh.seqc.retried, nRetried);
@@ -731,9 +824,9 @@ ZkvStore::runBatch(std::uint32_t shard, std::span<const StoreBatchOp> ops,
     }
 
     std::uint64_t pseq = 0; // the batch's highest op-log seqno
-    probe.lock(sh.lock);
+    probe.lock(sh.hot.lock);
     {
-        std::lock_guard<ShardLock> g(sh.lock, std::adopt_lock);
+        std::lock_guard<ShardLock> g(sh.hot.lock, std::adopt_lock);
         const std::size_t n = lockFree ? fell.size() : ops.size();
         for (std::size_t k = 0; k < n; k++) {
             const std::size_t i = lockFree ? fell[k] : k;
@@ -867,7 +960,7 @@ ZkvStore::compressionTotals() const
 {
     ZkvCompressionStats t;
     for (const auto& sh : shards_) {
-        std::lock_guard<ShardLock> g(sh->lock);
+        std::lock_guard<ShardLock> g(sh->hot.lock);
         t.add(sh->mirror->compressionStats());
     }
     return t;
@@ -942,7 +1035,7 @@ ZkvStore::shardObs(std::uint32_t shard) const
 {
     zc_assert(shard < shards_.size());
     Shard& sh = *shards_[shard];
-    std::lock_guard<ShardLock> g(sh.lock);
+    std::lock_guard<ShardLock> g(sh.hot.lock);
     ZkvShardObs o = sh.obs;
     // Fold the lock-free read-path counters into the snapshot; the
     // plain fields in sh.obs stay zero (no writer without the lock).
@@ -1036,7 +1129,7 @@ ZkvStore::replayPut(std::uint32_t shard, std::uint64_t key,
 {
     if (key == kReservedKey) return;
     Shard& sh = *shards_[shard];
-    std::lock_guard<ShardLock> g(sh.lock);
+    std::lock_guard<ShardLock> g(sh.hot.lock);
     sh.mirror->stage(value, nullptr, 0);
     AccessContext ctx{key, kNoNextUse};
     BlockPos pos = sh.array->access(key, ctx);
@@ -1055,7 +1148,7 @@ void
 ZkvStore::replayErase(std::uint32_t shard, std::uint64_t key)
 {
     Shard& sh = *shards_[shard];
-    std::lock_guard<ShardLock> g(sh.lock);
+    std::lock_guard<ShardLock> g(sh.hot.lock);
     Shard::WriteSection ws(sh);
     (void)sh.array->invalidate(key);
 }
@@ -1096,7 +1189,7 @@ ZkvStore::forEachInShard(
 {
     zc_assert(shard < shards_.size());
     Shard& sh = *shards_[shard];
-    std::lock_guard<ShardLock> g(sh.lock);
+    std::lock_guard<ShardLock> g(sh.hot.lock);
     sh.array->forEachValid([&](BlockPos pos, Addr addr) {
         fn(addr, sh.mirror->valueAt(pos));
     });
@@ -1108,7 +1201,7 @@ ZkvStore::captureShardSnapshot(std::uint32_t shard) const
     zc_assert(persist_ != nullptr);
     zc_assert(shard < shards_.size());
     Shard& sh = *shards_[shard];
-    std::lock_guard<ShardLock> g(sh.lock);
+    std::lock_guard<ShardLock> g(sh.hot.lock);
     persist::SnapshotData snap;
     // Watermark and enumeration under the same lock acquisition: the
     // image is exactly the state after every op with seqno <= it.
@@ -1125,7 +1218,7 @@ ZkvStore::size() const
 {
     std::uint64_t n = 0;
     for (const auto& sh : shards_) {
-        std::lock_guard<ShardLock> g(sh->lock);
+        std::lock_guard<ShardLock> g(sh->hot.lock);
         n += sh->array->validCount();
     }
     return n;
@@ -1136,12 +1229,14 @@ ZkvStore::shardStats(std::uint32_t shard) const
 {
     zc_assert(shard < shards_.size());
     Shard& sh = *shards_[shard];
-    std::lock_guard<ShardLock> g(sh.lock);
+    std::lock_guard<ShardLock> g(sh.hot.lock);
     ZkvShardStats s = sh.stats;
-    // Lock-free gets count themselves in the shard's atomic seq
-    // counters; fold them in so gets/get_hits stay whole-shard truths.
-    s.gets += sh.seqc.gets.load(std::memory_order_relaxed);
-    s.getHits += sh.seqc.getHits.load(std::memory_order_relaxed);
+    // Locked gets count on the hot line and lock-free ones in the
+    // atomic seq counters; fold both in so gets/get_hits stay
+    // whole-shard truths.
+    s.gets = sh.hot.gets + sh.seqc.optimistic.load(std::memory_order_relaxed);
+    s.getHits =
+        sh.hot.getHits + sh.seqc.getHits.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -1191,7 +1286,7 @@ constexpr FieldStat<Obs> kObsStats[] = {
     {"lock_acquisitions", "instrumented shard-lock takes",
      &Obs::lockAcquisitions},
     {"lock_contended", "lock takes that had to wait", &Obs::lockContended},
-    {"lock_spin_iters", "TTAS relaxed-test spin iterations",
+    {"lock_spin_iters", "pauses spent spinning for the lock",
      &Obs::lockSpinIters},
     {"lock_wait_ns", "summed lock-acquisition wait", &Obs::lockWaitNs},
     {"net_ns", "summed decode->dispatch queue time (server)", &Obs::netNs},

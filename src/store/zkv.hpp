@@ -35,7 +35,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,10 +64,10 @@ zkvMix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** How a shard serializes its operations. */
+/** How a shard serializes its operations (ShardLock). */
 enum class ShardLockKind {
-    Mutex, ///< std::mutex — friendly under oversubscription
-    Spin,  ///< test-and-set spinlock — lowest latency at low contention
+    Mutex, ///< spins briefly, then parks — friendly under oversubscription
+    Spin,  ///< test-and-test-and-set, never parks — lowest latency
 };
 
 inline const char*
@@ -371,7 +370,7 @@ struct ZkvShardObs
 {
     std::uint64_t lockAcquisitions = 0; ///< instrumented lock takes
     std::uint64_t lockContended = 0;    ///< takes that had to wait
-    std::uint64_t lockSpinIters = 0;    ///< TTAS relaxed-test spins
+    std::uint64_t lockSpinIters = 0;    ///< pauses spent spinning
     std::uint64_t lockWaitNs = 0;       ///< summed acquisition wait
     std::uint64_t netNs = 0;            ///< summed decode->dispatch queue
     std::uint64_t probeNs = 0;          ///< summed hash+tag probe time
@@ -409,9 +408,17 @@ struct ZkvShardObs
 };
 
 /**
- * Mutex-or-spinlock guard with a single type, so shards need no
- * template parameter. Spin mode uses test-and-set with a relaxed
- * test loop (TTAS) — adequate for short shard critical sections.
+ * The shard lock: one 32-bit word for both kinds, so it fits on the
+ * shard's hot cache line beside the counters a get writes
+ * (docs/store.md, "Shard layout"). A free word is taken with one CAS.
+ *
+ * Mutex is the three-state futex mutex of Drepper, "Futexes Are
+ * Tricky": 0 free, 1 held, 2 held with waiters. A waiter spins on
+ * relaxed loads for kSpinBound pauses, since shard critical sections
+ * last a few hundred nanoseconds; only then does it mark the word 2
+ * and park in FUTEX_WAIT. unlock() makes the wake syscall only when
+ * the word was 2. Spin is test-and-test-and-set on the same word and
+ * never enters the kernel. The slow paths live in zkv.cpp.
  */
 class ShardLock
 {
@@ -421,21 +428,16 @@ class ShardLock
     void
     lock()
     {
-        if (kind_ == ShardLockKind::Mutex) {
-            mx_.lock();
-            return;
-        }
-        while (flag_.test_and_set(std::memory_order_acquire)) {
-            while (flag_.test(std::memory_order_relaxed)) {
-            }
-        }
+        if (tryLock()) return;
+        std::uint32_t spins = 0;
+        lockSlow(spins);
     }
 
     /** What an instrumented acquisition observed. */
     struct Acquire
     {
-        bool contended = false;   ///< the uncontended fast path failed
-        std::uint32_t spins = 0;  ///< TTAS relaxed-test iterations
+        bool contended = false;  ///< the uncontended fast path failed
+        std::uint32_t spins = 0; ///< pauses spent spinning (both kinds)
     };
 
     /**
@@ -445,33 +447,45 @@ class ShardLock
     Acquire
     lockInstrumented()
     {
-        if (kind_ == ShardLockKind::Mutex) {
-            if (mx_.try_lock()) return {};
-            mx_.lock();
-            return {true, 0};
-        }
-        if (!flag_.test_and_set(std::memory_order_acquire)) return {};
+        if (tryLock()) return {};
         Acquire a{true, 0};
-        do {
-            while (flag_.test(std::memory_order_relaxed)) a.spins++;
-        } while (flag_.test_and_set(std::memory_order_acquire));
+        lockSlow(a.spins);
         return a;
     }
 
     void
     unlock()
     {
-        if (kind_ == ShardLockKind::Mutex) {
-            mx_.unlock();
-            return;
+        if (kind_ == ShardLockKind::Spin) {
+            word_.store(0, std::memory_order_release);
+        } else if (word_.exchange(0, std::memory_order_release) == 2) {
+            wake();
         }
-        flag_.clear(std::memory_order_release);
     }
 
   private:
+    /** Pauses a Mutex waiter spins before it parks. A pause takes
+     *  ~25 ns on a recent Xeon, so that is ~3 us: several get
+     *  critical sections, well short of a context switch. */
+    static constexpr std::uint32_t kSpinBound = 128;
+
+    bool
+    tryLock()
+    {
+        std::uint32_t free = 0;
+        return word_.compare_exchange_strong(free, 1,
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed);
+    }
+
+    /** Wait for the word, counting pauses into @p spins. */
+    void lockSlow(std::uint32_t& spins);
+
+    /** FUTEX_WAKE one parked waiter. */
+    void wake();
+
+    std::atomic<std::uint32_t> word_{0};
     ShardLockKind kind_;
-    std::mutex mx_;
-    std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
 };
 
 /**
@@ -544,12 +558,13 @@ class ShardSeq
  * ZkvShardStats would be a data race). Cache-line aligned so reader
  * counter traffic never false-shares with the shard lock or seq word.
  * Snapshots fold these into ZkvShardStats/ZkvShardObs (shardStats /
- * shardObs), so consumers see one coherent counter set.
+ * shardObs), so consumers see one coherent counter set: every get
+ * answered without the lock counts once in `optimistic`, which
+ * shardStats() adds into `gets`.
  */
 struct alignas(64) ZkvSeqCounters
 {
-    std::atomic<std::uint64_t> gets{0};       ///< lock-free gets issued
-    std::atomic<std::uint64_t> getHits{0};    ///< ...that found the key
+    std::atomic<std::uint64_t> getHits{0};    ///< lock-free gets that hit
     std::atomic<std::uint64_t> optimistic{0}; ///< answered without lock
     std::atomic<std::uint64_t> retried{0};    ///< validation retries
     std::atomic<std::uint64_t> fallback{0};   ///< fell back to the lock

@@ -3,17 +3,24 @@
  * zkv store tests (docs/store.md): single-thread shard semantics
  * (get/put/erase, eviction picks the relocation walk's victim),
  * deterministic stats for a fixed seed, structured-error fault
- * injection at store.alloc / store.walk, and concurrent
- * read-your-writes under >= 4 threads over >= 2 shards (the target of
- * the CI ThreadSanitizer job).
+ * injection at store.alloc / store.walk, concurrent read-your-writes
+ * under >= 4 threads over >= 2 shards, a shard-lock torture test and
+ * a cross-thread register check of whole-store histories (the targets
+ * of the CI ThreadSanitizer job).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/fault_injection.hpp"
@@ -846,6 +853,264 @@ TEST(ZkvConcurrency, LoadGenOptimisticReadPathVerifies)
     EXPECT_EQ(agg.ops, 40000u);
     EXPECT_EQ(agg.verifyFailures, 0u);
     EXPECT_EQ(agg.putErrors, 0u);
+}
+
+// ---------------------------------------------------------------------
+// The shard lock under torture, and a cross-thread register check of
+// whole-store histories (both run under TSan and ASan+UBSan in CI).
+
+/**
+ * 8 threads take one ShardLock 20,000 times each and bump a plain
+ * counter; an atomic count of current holders flags any overlap.
+ * Every 64th time thread 0 takes it, it sleeps 1 ms before letting
+ * go, so Mutex waiters use up their spin and park. A lost wake-up
+ * leaves parked threads asleep for good, and joining them would hang:
+ * past a 60 s deadline the test reports that and ends the process.
+ */
+void
+tortureShardLock(ShardLockKind kind)
+{
+    constexpr std::uint32_t kThreads = 8;
+    constexpr std::uint64_t kTakes = 20000;
+    ShardLock lock(kind);
+    std::uint64_t counter = 0;            // guarded by lock
+    std::atomic<std::uint32_t> inside{0}; // holders right now
+    std::atomic<std::uint64_t> overlaps{0}, contended{0}, spins{0};
+    std::atomic<std::uint32_t> done{0};
+    std::vector<std::thread> workers;
+    for (std::uint32_t tid = 0; tid < kThreads; tid++) {
+        workers.emplace_back([&, tid] {
+            for (std::uint64_t i = 0; i < kTakes; i++) {
+                // Alternate the instrumented and the plain entry. The
+                // first take is instrumented: the sleeps keep threads
+                // 1-7 waiting there while thread 0 runs.
+                if (i % 2 == 1) {
+                    lock.lock();
+                } else {
+                    const ShardLock::Acquire a = lock.lockInstrumented();
+                    contended += a.contended ? 1 : 0;
+                    spins += a.spins;
+                }
+                // A second holder shows here, not only as a lost count.
+                if (inside.fetch_add(1) != 0) overlaps++;
+                counter++;
+                if (tid == 0 && i % 64 == 0) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                }
+                inside.fetch_sub(1);
+                lock.unlock();
+            }
+            done++;
+        });
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (done.load() < kThreads &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    if (done.load() < kThreads) {
+        ADD_FAILURE() << kThreads - done.load()
+                      << " workers still waiting after 60 s: a lost wake-up";
+        std::fflush(stdout);
+        std::_Exit(1);
+    }
+    for (std::thread& w : workers) w.join();
+    EXPECT_EQ(overlaps.load(), 0u);
+    EXPECT_EQ(counter, kThreads * kTakes);
+    EXPECT_GT(contended.load(), 0u);
+    EXPECT_GT(spins.load(), 0u);
+}
+
+TEST(ZkvShardLock, MutexTortureCountsExactlyAndWakesParkedWaiters)
+{
+    tortureShardLock(ShardLockKind::Mutex);
+}
+
+TEST(ZkvShardLock, SpinTortureCountsExactly)
+{
+    tortureShardLock(ShardLockKind::Spin);
+}
+
+/**
+ * One op of a recorded history. `invoke` and `complete` are stamps
+ * from one global counter, taken just before the call and just after
+ * it returns, so an op whose complete stamp is below another's invoke
+ * stamp finished before that one started.
+ */
+struct HistoryOp
+{
+    ObsOp kind = ObsOp::Get;
+    std::uint64_t key = 0;
+    std::uint64_t value = 0; ///< put: value written; get hit: value read
+    bool hit = false;        ///< get: found the key
+    std::uint64_t invoke = 0;
+    std::uint64_t complete = 0;
+};
+
+/**
+ * Check @p history against a per-key register in which a miss is
+ * always legal (an eviction may drop any key). A get hit must return a
+ * value some put of that key wrote (put values are unique), and:
+ *  - that put was invoked before the get completed;
+ *  - no other put or erase of the key lies wholly between that put's
+ *    completion and the get's invocation.
+ * Returns one line per violation.
+ */
+std::vector<std::string>
+checkRegisterHistory(const std::vector<HistoryOp>& history)
+{
+    std::unordered_map<std::uint64_t, const HistoryOp*> putOf;
+    std::unordered_map<std::uint64_t, std::vector<const HistoryOp*>> writes;
+    for (const HistoryOp& op : history) {
+        if (op.kind == ObsOp::Get) continue;
+        if (op.kind == ObsOp::Put) putOf[op.value] = &op;
+        writes[op.key].push_back(&op);
+    }
+    for (auto& [key, ws] : writes) {
+        std::sort(ws.begin(), ws.end(),
+                  [](const HistoryOp* a, const HistoryOp* b) {
+                      return a->invoke < b->invoke;
+                  });
+    }
+    std::vector<std::string> bad;
+    for (const HistoryOp& get : history) {
+        if (get.kind != ObsOp::Get || !get.hit) continue;
+        const std::string where = "get of key " + std::to_string(get.key) +
+                                  " at [" + std::to_string(get.invoke) +
+                                  ", " + std::to_string(get.complete) + "]";
+        auto it = putOf.find(get.value);
+        if (it == putOf.end() || it->second->key != get.key) {
+            bad.push_back(where + " read " + std::to_string(get.value) +
+                          ", never put for that key");
+            continue;
+        }
+        const HistoryOp& put = *it->second;
+        if (put.invoke > get.complete) {
+            bad.push_back(where + " read a put invoked after it completed");
+            continue;
+        }
+        const std::vector<const HistoryOp*>& ws = writes[get.key];
+        auto w = std::upper_bound(ws.begin(), ws.end(), put.complete,
+                                  [](std::uint64_t t, const HistoryOp* op) {
+                                      return t < op->invoke;
+                                  });
+        for (; w != ws.end() && (*w)->invoke < get.invoke; ++w) {
+            if ((*w)->complete < get.invoke) {
+                bad.push_back(where + " read a value overwritten by the " +
+                              obsOpName((*w)->kind) + " at [" +
+                              std::to_string((*w)->invoke) + ", " +
+                              std::to_string((*w)->complete) + "]");
+                break;
+            }
+        }
+    }
+    return bad;
+}
+
+TEST(ZkvRegister, CheckerFlagsStaleAndForeignReads)
+{
+    using H = HistoryOp;
+    const H put1{ObsOp::Put, 7, 100, false, 1, 2};
+    const H put2{ObsOp::Put, 7, 200, false, 3, 4};
+    const H erase{ObsOp::Erase, 7, 0, true, 5, 6};
+    const auto violations = [](const std::vector<H>& h) {
+        return checkRegisterHistory(h).size();
+    };
+    // Concurrent with put2, either value is legal; so is any miss.
+    EXPECT_EQ(violations({put1, put2, {ObsOp::Get, 7, 100, true, 2, 3}}), 0u);
+    EXPECT_EQ(violations({put1, put2, {ObsOp::Get, 7, 100, true, 3, 5}}), 0u);
+    EXPECT_EQ(violations({put1, put2, {ObsOp::Get, 7, 0, false, 9, 10}}), 0u);
+    // put2 completed before the get began: 100 is stale.
+    EXPECT_EQ(violations({put1, put2, {ObsOp::Get, 7, 100, true, 5, 6}}), 1u);
+    // An erase completed in between: nothing but a miss is legal.
+    EXPECT_EQ(violations({put2, erase, {ObsOp::Get, 7, 200, true, 7, 8}}), 1u);
+    // A value from the future, and one put only for another key.
+    EXPECT_EQ(violations({put2, {ObsOp::Get, 7, 200, true, 1, 2}}), 1u);
+    EXPECT_EQ(violations({put1, {ObsOp::Get, 8, 100, true, 5, 6}}), 1u);
+}
+
+/**
+ * 4 threads share 64 keys on 2 shards of 32 blocks, so walks and
+ * evictions run, with a 70/25/5 get/put/erase mix. Every op is stamped
+ * and the whole history is checked against the register model.
+ */
+void
+checkStoreHistory(ZkvConfig cfg)
+{
+    auto kv = mustCreate(cfg);
+    constexpr std::uint32_t kThreads = 4;
+    constexpr std::uint64_t kOps = 20000;
+    constexpr std::uint64_t kKeys = 64;
+    std::atomic<std::uint64_t> clock{0};
+    std::vector<std::vector<HistoryOp>> logs(kThreads);
+
+    std::vector<std::thread> workers;
+    for (std::uint32_t tid = 0; tid < kThreads; tid++) {
+        workers.emplace_back([&, tid] {
+            std::vector<HistoryOp>& log = logs[tid];
+            log.reserve(kOps);
+            Pcg32 rng(0x7e6 + tid);
+            for (std::uint64_t i = 0; i < kOps; i++) {
+                HistoryOp op;
+                op.key = 1 + rng.next64() % kKeys;
+                const double u = rng.uniform();
+                op.kind = u < 0.70   ? ObsOp::Get
+                          : u < 0.95 ? ObsOp::Put
+                                     : ObsOp::Erase;
+                if (op.kind == ObsOp::Put) {
+                    op.value = (std::uint64_t{tid + 1} << 32) | i;
+                }
+                op.invoke = clock++;
+                switch (op.kind) {
+                  case ObsOp::Get:
+                    if (auto v = kv->get(op.key)) {
+                        op.hit = true;
+                        op.value = *v;
+                    }
+                    break;
+                  case ObsOp::Put:
+                    EXPECT_TRUE(kv->put(op.key, op.value).hasValue());
+                    break;
+                  case ObsOp::Erase:
+                    op.hit = kv->erase(op.key);
+                    break;
+                }
+                op.complete = clock++;
+                log.push_back(op);
+            }
+        });
+    }
+    for (auto& w : workers) w.join();
+
+    std::vector<HistoryOp> history;
+    for (const auto& log : logs) {
+        history.insert(history.end(), log.begin(), log.end());
+    }
+    const std::vector<std::string> bad = checkRegisterHistory(history);
+    EXPECT_TRUE(bad.empty()) << bad.size() << " violations, first: "
+                             << (bad.empty() ? "" : bad.front());
+    const ZkvShardStats tot = kv->totals();
+    EXPECT_EQ(tot.gets + tot.puts + tot.erases, kThreads * kOps);
+    EXPECT_GT(tot.getHits, 0u);
+    EXPECT_GT(tot.evictions, 0u);
+}
+
+TEST(ZkvRegister, LockedMutexHistoriesAreRegisterLegal)
+{
+    checkStoreHistory(tinyConfig(/*shards=*/2, /*blocks=*/32));
+}
+
+TEST(ZkvRegister, LockedSpinHistoriesAreRegisterLegal)
+{
+    ZkvConfig cfg = tinyConfig(/*shards=*/2, /*blocks=*/32);
+    cfg.lock = ShardLockKind::Spin;
+    checkStoreHistory(cfg);
+}
+
+TEST(ZkvRegister, OptimisticHistoriesAreRegisterLegal)
+{
+    checkStoreHistory(optimisticConfig(/*shards=*/2, /*blocks=*/32));
 }
 
 } // namespace
