@@ -21,12 +21,14 @@
  *   1  one or more grid points failed (their errors are on stderr and
  *      counted under "sweep.failed" in --json output) or an output file
  *      could not be written;
- *   2  usage error — unknown flag value (policy/design name) or a
+ *   2  usage error — unknown flag value (policy/design name), a
+ *      numeric flag that is not a whole decimal number, or a
  *      structured journal refusal (corrupt header, wrong grid).
  */
 
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -56,12 +58,31 @@ flag(int argc, char** argv, const std::string& key,
     return fallback;
 }
 
+/**
+ * @p v as a whole decimal number, or exit 2 (usage error) naming the
+ * flag @p what: strtoull alone would read "1e6" as 1 and "abc" as 0.
+ */
+inline std::uint64_t
+parseU64(const std::string& v, const std::string& what)
+{
+    std::uint64_t n = 0;
+    const char* last = v.data() + v.size();
+    auto [end, ec] = std::from_chars(v.data(), last, n);
+    if (v.empty() || ec != std::errc() || end != last) {
+        std::fprintf(stderr,
+                     "error: %s: '%s' is not a whole decimal number\n",
+                     what.c_str(), v.c_str());
+        std::exit(2);
+    }
+    return n;
+}
+
 inline std::uint64_t
 flagU64(int argc, char** argv, const std::string& key,
         std::uint64_t fallback)
 {
     std::string v = flag(argc, argv, key, "");
-    return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
+    return v.empty() ? fallback : parseU64(v, "--" + key);
 }
 
 inline bool
@@ -153,7 +174,7 @@ reportGridFailures(const std::vector<zc::GridOutcome<Result>>& outcomes,
  * simulated accesses/sec, walk candidates/sec and peak RSS. It is the
  * ONLY nondeterministic block in the file: tooling that byte-compares
  * reports across --jobs values or journal resumes must drop it first
- * (the CI workflow does), and the perf-regression gate reads only it.
+ * (the CI workflow does).
  */
 class JsonReport
 {

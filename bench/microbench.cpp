@@ -9,10 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,24 +27,15 @@
 namespace zc {
 namespace {
 
-/**
- * Artificial slowdown factor for the CI perf gate's failure drill
- * (--inject-slowdown=F): the pinned profile performs F accesses per
- * counted item, so reported items/sec drops ~F×. F=1 (default) is the
- * real measurement. See scripts/perf_gate.py and docs/performance.md.
- */
-int g_inject_slowdown = 1;
-
 CacheModel
-modelFor(ArrayKind kind, std::uint32_t ways, std::uint32_t levels,
-         PolicyKind policy = PolicyKind::BucketedLru)
+modelFor(ArrayKind kind, std::uint32_t ways, std::uint32_t levels)
 {
     ArraySpec spec;
     spec.kind = kind;
     spec.blocks = 16384;
     spec.ways = ways;
     spec.levels = levels;
-    spec.policy = policy;
+    spec.policy = PolicyKind::BucketedLru;
     return CacheModel(makeArray(spec));
 }
 
@@ -80,46 +70,6 @@ BM_ZCacheAccess(benchmark::State& state)
 BENCHMARK(BM_ZCacheAccess)->Arg(1)->Arg(2)->Arg(3);
 
 void
-BM_ZCacheHitOnly(benchmark::State& state)
-{
-    auto m = modelFor(ArrayKind::ZCache, 4,
-                      static_cast<std::uint32_t>(state.range(0)));
-    Pcg32 rng(2);
-    for (int i = 0; i < 60000; i++) m.access(rng.next64() % 8192);
-    // Footprint half the cache: ~all hits.
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(m.access(rng.next64() % 8192));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ZCacheHitOnly)->Arg(2)->Arg(3);
-
-/**
- * The pinned walk-heavy profile behind the CI perf-regression gate
- * (docs/performance.md): Z 4/52 (4 ways, 3 levels) under SRRIP with a
- * footprint 4× the array, so ~75% of accesses miss and replacement
- * walks dominate — the configuration that exercises the walk dedup and
- * batched hashing hardest. Keep the parameters FROZEN: the committed
- * baseline in results/reference/perf_baseline.json is only comparable
- * to runs of this exact profile.
- */
-void
-BM_WalkHeavyPinned(benchmark::State& state)
-{
-    auto m = modelFor(ArrayKind::ZCache, 4, 3, PolicyKind::Srrip);
-    Pcg32 rng(42);
-    const std::uint64_t footprint = 65536;
-    for (int i = 0; i < 120000; i++) m.access(rng.next64() % footprint);
-    for (auto _ : state) {
-        for (int r = 0; r < g_inject_slowdown; r++) {
-            benchmark::DoNotOptimize(m.access(rng.next64() % footprint));
-        }
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_WalkHeavyPinned);
-
-void
 BM_FullyAssocAccess(benchmark::State& state)
 {
     auto m = modelFor(ArrayKind::FullyAssoc, 1, 1);
@@ -129,8 +79,11 @@ BENCHMARK(BM_FullyAssocAccess);
 
 /**
  * Single-threaded zkv get/put mix (70/30) against a 4-shard zcache
- * store with a footprint 2x capacity — the store-throughput row the
- * perf gate can pin once it has CI history (docs/store.md).
+ * store with a footprint 2x capacity (docs/store.md). The argument
+ * turns live telemetry on: /0 runs untraced, /1 runs the instrumented
+ * op paths with one trace record per op into a per-thread ring drained
+ * by a count-only collector (no file I/O), so /1 minus /0 prices the
+ * instrumentation itself (docs/performance.md, docs/telemetry.md).
  */
 void
 BM_StoreGetPut(benchmark::State& state)
@@ -141,89 +94,11 @@ BM_StoreGetPut(benchmark::State& state)
     auto store = ZkvStore::create(cfg);
     zc_assert(store.hasValue());
     ZkvStore& kv = **store;
-    Pcg32 rng(7);
-    const std::uint64_t footprint = 32768;
-    for (int i = 0; i < 60000; i++) {
-        std::uint64_t key = rng.next64() % footprint;
-        (void)kv.put(key, key);
+    std::optional<ObsTracer> tracer;
+    if (state.range(0) != 0) {
+        tracer.emplace(ObsTracerConfig{}); // empty path: count-only
+        kv.enableObs(&*tracer);
     }
-    for (auto _ : state) {
-        std::uint64_t key = rng.next64() % footprint;
-        if (rng.uniform() < 0.7) {
-            benchmark::DoNotOptimize(kv.get(key));
-        } else {
-            benchmark::DoNotOptimize(kv.put(key, key));
-        }
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_StoreGetPut);
-
-/**
- * BM_StoreGetPut's mix turned read-heavy (95/5) on the optimistic
- * seqlock read path (docs/store.md, "Read path"). Single-threaded, so
- * every optimistic get validates on its first attempt: the exported
- * get_optimistic counter is the fraction of gets answered lock-free
- * and must sit at 1.0 here — scripts/perf_gate.py renders it next to
- * the throughput verdict, so a drop (gets falling back to the locked
- * path) is visible in CI even before it costs throughput.
- */
-void
-BM_StoreGetOptimistic(benchmark::State& state)
-{
-    ZkvConfig cfg;
-    cfg.shards = 4;
-    cfg.array.blocks = 4096;
-    cfg.readPath = ReadPath::Optimistic;
-    auto store = ZkvStore::create(cfg);
-    zc_assert(store.hasValue());
-    ZkvStore& kv = **store;
-    Pcg32 rng(7);
-    const std::uint64_t footprint = 32768;
-    for (int i = 0; i < 60000; i++) {
-        std::uint64_t key = rng.next64() % footprint;
-        (void)kv.put(key, key);
-    }
-    for (auto _ : state) {
-        std::uint64_t key = rng.next64() % footprint;
-        if (rng.uniform() < 0.95) {
-            benchmark::DoNotOptimize(kv.get(key));
-        } else {
-            benchmark::DoNotOptimize(kv.put(key, key));
-        }
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-    const ZkvShardStats tot = kv.totals();
-    const ZkvShardObs obs = kv.obsTotals();
-    const double gets = tot.gets > 0 ? static_cast<double>(tot.gets) : 1.0;
-    state.counters["get_optimistic"] =
-        benchmark::Counter(static_cast<double>(obs.getOptimistic) / gets);
-    state.counters["get_fallback"] =
-        benchmark::Counter(static_cast<double>(obs.getFallback) / gets);
-}
-BENCHMARK(BM_StoreGetOptimistic);
-
-/**
- * BM_StoreGetPut with live telemetry on: instrumented op paths plus
- * one trace record per op into a per-thread ring drained by the
- * collector (count-only mode — no file I/O, so this measures the
- * instrumentation itself). The tracing-on overhead vs BM_StoreGetPut
- * is recorded in docs/performance.md with a <5% budget
- * (docs/telemetry.md); the disabled path costs one predicted branch
- * and stays inside BM_StoreGetPut's own noise.
- */
-void
-BM_StoreGetPutTraced(benchmark::State& state)
-{
-    ZkvConfig cfg;
-    cfg.shards = 4;
-    cfg.array.blocks = 4096;
-    auto store = ZkvStore::create(cfg);
-    zc_assert(store.hasValue());
-    ZkvStore& kv = **store;
-    ObsTracerConfig tc; // empty path: count-only, no trace file
-    ObsTracer tracer(std::move(tc));
-    kv.enableObs(&tracer);
     Pcg32 rng(7);
     const std::uint64_t footprint = 32768;
     for (int i = 0; i < 60000; i++) {
@@ -241,42 +116,7 @@ BM_StoreGetPutTraced(benchmark::State& state)
     kv.disableObs();
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_StoreGetPutTraced);
-
-/**
- * One BDI compress of a 64 B line, cycling through the ContentModel's
- * class mix (docs/compression.md) so the measurement covers the zero /
- * repeat / delta fast paths and the raw fallback in their modeled
- * proportions. The exported ratio counter is raw/stored bytes over the
- * whole run — scripts/perf_gate.py renders it next to the throughput
- * verdict once this row has CI history.
- */
-void
-BM_CodecCompress(benchmark::State& state)
-{
-    auto codec = makeCodec(CodecKind::Bdi);
-    ContentModel content;
-    constexpr std::size_t kLine = 64;
-    constexpr std::size_t kLines = 1024;
-    std::vector<std::uint8_t> src(kLines * kLine);
-    for (std::size_t i = 0; i < kLines; i++) {
-        content.fill(static_cast<Addr>(i), src.data() + i * kLine, kLine);
-    }
-    std::vector<std::uint8_t> dst(codec->maxCompressedSize(kLine));
-    std::uint64_t raw = 0, stored = 0, i = 0;
-    for (auto _ : state) {
-        const std::uint8_t* line = src.data() + (i++ % kLines) * kLine;
-        auto n = codec->compress(line, kLine, dst.data(), dst.size());
-        benchmark::DoNotOptimize(n);
-        raw += kLine;
-        stored += *n;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-    state.counters["compression_ratio"] = benchmark::Counter(
-        stored > 0 ? static_cast<double>(raw) / static_cast<double>(stored)
-                   : 1.0);
-}
-BENCHMARK(BM_CodecCompress);
+BENCHMARK(BM_StoreGetPut)->Arg(0)->Arg(1);
 
 /**
  * BM_StoreGetPut with the store in compressed bytes mode (BDI values,
@@ -355,15 +195,10 @@ main(int argc, char** argv)
     for (auto it = args.begin(); it != args.end();) {
         constexpr const char* kJson = "--json=";
         constexpr const char* kJobs = "--jobs=";
-        constexpr const char* kSlow = "--inject-slowdown=";
         if (std::strncmp(*it, kJson, std::strlen(kJson)) == 0) {
             out_flag = std::string("--benchmark_out=") +
                        (*it + std::strlen(kJson));
             fmt_flag = "--benchmark_out_format=json";
-            it = args.erase(it);
-        } else if (std::strncmp(*it, kSlow, std::strlen(kSlow)) == 0) {
-            zc::g_inject_slowdown =
-                std::max(1, std::atoi(*it + std::strlen(kSlow)));
             it = args.erase(it);
         } else if (std::strncmp(*it, kJobs, std::strlen(kJobs)) == 0 ||
                    std::strcmp(*it, "--no-progress") == 0) {

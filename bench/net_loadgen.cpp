@@ -685,12 +685,10 @@ main(int argc, char** argv)
                              value_bytes.c_str());
                 return 2;
             }
-            lo = std::strtoull(rest.substr(0, colon).c_str(), nullptr,
-                               10);
-            hi = std::strtoull(rest.substr(colon + 1).c_str(), nullptr,
-                               10);
+            lo = parseU64(rest.substr(0, colon), "--value-bytes");
+            hi = parseU64(rest.substr(colon + 1), "--value-bytes");
         } else {
-            lo = hi = std::strtoull(body.c_str(), nullptr, 10);
+            lo = hi = parseU64(body, "--value-bytes");
         }
         if (lo < 4 || hi < lo || hi > net::kMaxValueBytes) {
             std::fprintf(stderr,

@@ -121,7 +121,7 @@ using namespace zc;
 using namespace zc::benchutil;
 
 std::vector<std::uint64_t>
-parseU64List(const std::string& csv)
+parseU64List(const std::string& csv, const std::string& what)
 {
     std::vector<std::uint64_t> out;
     std::size_t pos = 0;
@@ -130,7 +130,7 @@ parseU64List(const std::string& csv)
         if (comma == std::string::npos) comma = csv.size();
         std::string item = csv.substr(pos, comma - pos);
         if (!item.empty()) {
-            out.push_back(std::strtoull(item.c_str(), nullptr, 10));
+            out.push_back(parseU64(item, what));
         }
         pos = comma + 1;
     }
@@ -235,10 +235,11 @@ int
 main(int argc, char** argv)
 {
     auto threads_list =
-        parseU64List(flag(argc, argv, "threads", "1"));
-    auto shards_list = parseU64List(flag(argc, argv, "shards", "4"));
-    auto ways_list = parseU64List(flag(argc, argv, "ways", "4"));
-    auto cands_list = parseU64List(flag(argc, argv, "cands", "0"));
+        parseU64List(flag(argc, argv, "threads", "1"), "--threads");
+    auto shards_list =
+        parseU64List(flag(argc, argv, "shards", "4"), "--shards");
+    auto ways_list = parseU64List(flag(argc, argv, "ways", "4"), "--ways");
+    auto cands_list = parseU64List(flag(argc, argv, "cands", "0"), "--cands");
     auto array_list = parseStrList(flag(argc, argv, "array", "z"));
     std::uint64_t blocks = flagU64(argc, argv, "blocks", 4096);
     std::uint64_t levels = flagU64(argc, argv, "levels", 2);

@@ -14,9 +14,9 @@
  *   --policy=lru --lock=mutex --seed=1     store shape (docs/store.md)
  *   --value-bytes[=CAP]    bytes mode (docs/compression.md): values
  *                          are variable-length byte payloads up to CAP
- *                          bytes (default 224, the frame cap), stored
- *                          compressed; clients must speak bytes-mode
- *                          frames (net_loadgen --value-bytes)
+ *                          bytes (1..224; default 224, the frame cap),
+ *                          stored compressed; clients must speak
+ *                          bytes-mode frames (net_loadgen --value-bytes)
  *   --codec=bdi            bytes-mode value codec: bdi | none
  *   --max-conns=1024       concurrent connection ceiling
  *   --drain-timeout-ms=2000  grace budget after SIGTERM/SIGINT
@@ -167,7 +167,12 @@ main(int argc, char** argv)
         std::uint64_t cap = flagU64(argc, argv, "value-bytes",
                                     kZkvMaxValueBytes);
         if (cap == 0 || cap > kZkvMaxValueBytes) {
-            cap = kZkvMaxValueBytes;
+            std::fprintf(stderr,
+                         "error: --value-bytes=%llu: the cap must be "
+                         "1..%u (the frame cap)\n",
+                         static_cast<unsigned long long>(cap),
+                         kZkvMaxValueBytes);
+            return 2;
         }
         cfg.store.value.maxBytes = static_cast<std::uint32_t>(cap);
         auto codec = parseCodecKind(flag(argc, argv, "codec", "bdi"));

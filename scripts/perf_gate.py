@@ -1,25 +1,26 @@
 #!/usr/bin/env python3
-"""CI perf-regression gate for the pinned walk-heavy microbenchmark.
+"""CI perf-regression gate: sim-walk ops/s against a committed baseline.
 
-Runs ``microbench --benchmark_filter=^BM_WalkHeavyPinned$`` several
-times, takes the median items_per_second, and compares it against the
-committed baseline (results/reference/perf_baseline.json). The run
-fails (exit 1) when the median falls outside the baseline's tolerance
-band — by default +/-25%, wide enough to absorb shared-runner noise but
-narrow enough to catch a 2x regression immediately.
+Runs the repository benchmark's sim-walk workload (perfbench/README.md)
+through perfbench/run.py at the shape pinned in the baseline file
+(workload, seed, seconds, runs), takes the median ``ops_per_s`` and
+compares it with the baseline's value. Exit 1 when a run exits
+non-zero, reports ``correct`` other than true or ``failed`` > 0, or when
+the median falls outside the baseline's tolerance band (+/-25%): a
+slowdown is a regression, a speedup asks for recalibration.
 
-Usage:
-  perf_gate.py --bench build/bench/microbench             # gate a build
-  perf_gate.py --bench ... --update-baseline              # recalibrate
-  perf_gate.py --bench ... --inject-slowdown=2            # failure drill
+Usage, from the repository root:
+  perf_gate.py                          # gate this checkout
+  perf_gate.py --update-baseline        # recalibrate at the pinned shape
+  perf_gate.py --baseline <path>        # gate against another baseline
 
-The baseline MUST be calibrated on the runner class that executes the
-gate (see docs/performance.md): a laptop-calibrated number is
-meaningless on a CI VM. ``--update-baseline`` rewrites the baseline
-from the current machine's median; commit the result from a CI run.
+The shape lives only in the baseline file: to change it, edit the file,
+then recalibrate. ``--update-baseline`` runs the gate's shape
+CALIBRATION times and writes the median of those medians. Calibrate on
+the runner class that runs the gate (docs/performance.md).
 
-When GITHUB_STEP_SUMMARY is set, a markdown delta table is appended to
-it so the verdict shows up in the Actions job summary.
+When GITHUB_STEP_SUMMARY is set, a markdown table of the verdict is
+appended to it so the verdict shows up in the Actions job summary.
 """
 
 import argparse
@@ -29,86 +30,47 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 
-try:
-    import resource
-except ImportError:  # non-POSIX: no RSS telemetry, gate still works
-    resource = None
+from report_common import Reporter
 
-BENCH_NAME = "BM_WalkHeavyPinned"
-# Counter-only companions: run alongside the pinned profile so their
-# user counters (e.g. BM_StoreGetOptimistic's get_optimistic fraction)
-# land in the gate's table. Their throughput is NOT gated.
-COMPANIONS = [
-    "BM_StoreGetOptimistic",
-    "BM_CodecCompress",
-    "BM_StoreGetPutCompressed",
-]
-BASELINE = os.path.join("results", "reference", "perf_baseline.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BASELINE = os.path.join(ROOT, "results", "reference", "perf_baseline.json")
+SHAPE = ("workload", "seed", "seconds", "runs")
+CALIBRATION = 3  # gate invocations behind a committed baseline
 
-# google-benchmark's own per-entry numeric fields; anything else numeric
-# in a benchmark entry is a user counter and must not be dropped.
-GBENCH_KEYS = {
-    "family_index", "per_family_instance_index", "repetitions",
-    "repetition_index", "threads", "iterations", "real_time",
-    "cpu_time", "items_per_second", "bytes_per_second",
-}
+R = Reporter("perf_gate")
 
 
-def user_counters(entry):
-    """User counters of one benchmark JSON entry (name -> float)."""
-    return {
-        k: float(v)
-        for k, v in entry.items()
-        if isinstance(v, (int, float)) and not isinstance(v, bool)
-        and k not in GBENCH_KEYS
-    }
-
-
-def run_once(bench, inject_slowdown):
-    """One microbench run.
-
-    Returns (items_per_second of the pinned profile, {counter: value})
-    where the counters are every user counter any matched benchmark
-    exported — e.g. BM_StoreGetOptimistic's get_optimistic fraction.
-    Unknown counters used to be silently dropped here, which hid the
-    optimistic-get fraction from the gate's table.
-    """
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        out_path = tmp.name
-    names = [BENCH_NAME] + COMPANIONS
+def run_once(shape):
+    """One perfbench run; returns its end-to-end metrics (name -> value)."""
+    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+           "--workload", shape["workload"], "--seed", str(shape["seed"]),
+           "--seconds", str(shape["seconds"]), "--trace", "0"]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        R.fail(f"{' '.join(cmd[1:])} exited {proc.returncode}")
+    lines = proc.stdout.strip().splitlines()
     try:
-        cmd = [
-            bench,
-            f"--benchmark_filter=^({'|'.join(names)})$",
-            f"--json={out_path}",
-        ]
-        if inject_slowdown > 1:
-            cmd.append(f"--inject-slowdown={inject_slowdown}")
-        subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
-        with open(out_path) as f:
-            doc = json.load(f)
-    finally:
-        os.unlink(out_path)
-    ips = None
-    counters = {}
-    for b in doc.get("benchmarks", []):
-        if b.get("name") not in names:
-            continue
-        counters.update(user_counters(b))
-        if b.get("name") == BENCH_NAME:
-            ips = float(b["items_per_second"])
-    if ips is None:
-        sys.exit(f"error: {BENCH_NAME} missing from benchmark output")
-    return ips, counters
+        res = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        R.fail("perfbench printed no JSON result line")
+    if res.get("correct") is not True or res.get("failed") != 0:
+        R.fail(f"perfbench reported correct={res.get('correct')}, "
+               f"failed={res.get('failed')}")
+    return {k: v["value"] for k, v in res["metrics"].items()}
 
 
-def fmt_counter(name, value):
-    """Fractions (0..1 counters like get_optimistic) print as percent."""
-    if 0.0 <= value <= 1.0:
-        return f"{value:.1%}"
-    return f"{value:,.2f}"
+def invocation(shape):
+    """The gate's runs at shape: (median ops/s, per-run metrics)."""
+    runs = []
+    for i in range(shape["runs"]):
+        m = run_once(shape)
+        print(f"run {i + 1}/{shape['runs']}: {m['ops_per_s']:,.0f} ops/s, "
+              f"peak_rss_mb {m['peak_rss_mb']:.2f}", flush=True)
+        runs.append(m)
+    median = statistics.median(m["ops_per_s"] for m in runs)
+    print(f"median: {median:,.0f} ops/s", flush=True)
+    return median, runs
 
 
 def write_summary(lines):
@@ -120,106 +82,71 @@ def write_summary(lines):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--bench", default=os.path.join("build", "bench",
-                                                    "microbench"),
-                    help="path to the microbench binary")
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", default=BASELINE,
-                    help="committed baseline JSON")
-    ap.add_argument("--runs", type=int, default=3,
-                    help="repetitions to take the median over")
+                    help="baseline JSON holding the shape and ops_per_s")
     ap.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline from this machine's median")
-    ap.add_argument("--inject-slowdown", type=int, default=1,
-                    help="artificial slowdown factor (failure drill only)")
+                    help="recalibrate the baseline at its pinned shape")
     args = ap.parse_args()
 
-    samples = []
-    counter_samples = {}
-    for i in range(args.runs):
-        ips, counters = run_once(args.bench, args.inject_slowdown)
-        print(f"run {i + 1}/{args.runs}: {ips:,.0f} items/sec")
-        samples.append(ips)
-        for k, v in counters.items():
-            counter_samples.setdefault(k, []).append(v)
-    median = statistics.median(samples)
-    print(f"median: {median:,.0f} items/sec")
-    counter_medians = {
-        k: statistics.median(v) for k, v in sorted(counter_samples.items())
-    }
-    for k, v in counter_medians.items():
-        print(f"{k}: {fmt_counter(k, v)}")
-
-    # Peak RSS across the bench child processes (Linux: KiB), so memory
-    # creep in the hot paths shows up next to the throughput verdict.
-    peak_rss_mib = None
-    if resource is not None:
-        ru = resource.getrusage(resource.RUSAGE_CHILDREN)
-        scale = 1024.0 if platform.system() == "Darwin" else 1.0
-        peak_rss_mib = ru.ru_maxrss * scale / 1024.0
-        print(f"peak RSS (bench children): {peak_rss_mib:,.1f} MiB")
+    keys = SHAPE + ("ops_per_s", "tolerance")
+    base = R.load_object(args.baseline, lambda d: all(k in d for k in keys),
+                         f"not a perf baseline (needs {', '.join(keys)})")
+    shape = {k: base[k] for k in SHAPE}
+    print(f"shape: {shape['workload']} seed {shape['seed']}, "
+          f"{shape['runs']} x {shape['seconds']} s", flush=True)
 
     if args.update_baseline:
-        os.makedirs(os.path.dirname(args.baseline), exist_ok=True)
-        doc = {
-            "benchmark": BENCH_NAME,
-            "items_per_second": median,
-            "runs": args.runs,
-            "tolerance": 0.25,
-            "runner": {
-                "machine": platform.machine(),
-                "system": platform.system(),
-                "note": "calibrate on the runner class that runs the "
-                        "gate (docs/performance.md)",
-            },
-        }
+        medians = [invocation(shape)[0] for _ in range(CALIBRATION)]
+        base["ops_per_s"] = statistics.median(medians)
+        base["calibration"] = medians
+        base["runner"] = {"machine": platform.machine(),
+                          "system": platform.system(),
+                          "cpus": os.cpu_count()}
         with open(args.baseline, "w") as f:
-            json.dump(doc, f, indent=2)
+            json.dump(base, f, indent=2)
             f.write("\n")
-        print(f"baseline updated: {args.baseline}")
-        return 0
+        print(f"baseline updated: {args.baseline}: "
+              f"{base['ops_per_s']:,.0f} ops/s, median of "
+              f"{', '.join(f'{m:,.0f}' for m in medians)}")
+        return
 
-    try:
-        with open(args.baseline) as f:
-            base = json.load(f)
-    except FileNotFoundError:
-        sys.exit(f"error: no baseline at {args.baseline}; run with "
-                 "--update-baseline on the gate's runner class first")
-    ref = float(base["items_per_second"])
-    tol = float(base.get("tolerance", 0.25))
+    median, runs = invocation(shape)
+    ref = float(base["ops_per_s"])
+    tol = float(base["tolerance"])
     delta = (median - ref) / ref
-    lo, hi = ref * (1 - tol), ref * (1 + tol)
-    ok = lo <= median <= hi
-    verdict = "PASS" if ok else "FAIL"
+    violations = []
+    if median < ref * (1 - tol):
+        violations.append(f"regression: median {median:,.0f} ops/s is "
+                          f"{delta:+.1%} against {ref:,.0f} (band "
+                          f"+/-{tol:.0%})")
+    elif median > ref * (1 + tol):
+        violations.append(f"speedup: median {median:,.0f} ops/s is "
+                          f"{delta:+.1%} against {ref:,.0f} (band "
+                          f"+/-{tol:.0%}); if intentional, recalibrate "
+                          "with --update-baseline (docs/performance.md)")
+    verdict = "FAIL" if violations else "PASS"
+    print(f"baseline: {ref:,.0f} ops/s (tolerance +/-{tol:.0%})")
+    print(f"delta: {delta:+.1%} -> {verdict}", flush=True)
 
-    print(f"baseline: {ref:,.0f} items/sec (tolerance +/-{tol:.0%})")
-    print(f"delta: {delta:+.1%} -> {verdict}")
-
-    summary = [
-        "### Perf gate: pinned walk-heavy profile",
+    per_run = ", ".join(f"{m['ops_per_s']:,.0f}" for m in runs)
+    write_summary([
+        f"### Perf gate: {shape['workload']} ops/s (seed {shape['seed']}, "
+        f"{shape['runs']} x {shape['seconds']} s)",
         "",
         "| metric | value |",
         "|---|---|",
-        f"| median items/sec | {median:,.0f} |",
-        f"| baseline items/sec | {ref:,.0f} |",
+        f"| runs ops/s | {per_run} |",
+        f"| median ops/s | {median:,.0f} |",
+        f"| baseline ops/s | {ref:,.0f} |",
         f"| delta | {delta:+.1%} |",
         f"| tolerance | +/-{tol:.0%} |",
-    ]
-    if peak_rss_mib is not None:
-        summary.append(f"| peak RSS | {peak_rss_mib:,.1f} MiB |")
-    for k, v in counter_medians.items():
-        summary.append(f"| {k} | {fmt_counter(k, v)} |")
-    summary.append(f"| verdict | **{verdict}** |")
-    write_summary(summary)
-
-    if not ok:
-        direction = "regression" if median < lo else "speedup"
-        print(f"error: {direction} outside the +/-{tol:.0%} band — if "
-              "intentional, recalibrate with --update-baseline on the "
-              "CI runner (docs/performance.md)", file=sys.stderr)
-        return 1
-    return 0
+        f"| peak_rss_mb (max of runs) | "
+        f"{max(m['peak_rss_mb'] for m in runs):.2f} |",
+        f"| verdict | **{verdict}** |",
+    ])
+    R.finish(violations)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

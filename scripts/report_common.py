@@ -1,8 +1,10 @@
-"""Exit protocol shared by the scripts/*_report.py validators.
+"""Exit protocol shared by the scripts/*_report.py validators and
+scripts/perf_gate.py.
 
 Each report script reads one JSON artifact, prints a summary on stdout
 and, under ``--validate``, exits 1 with ``<tool>: FAIL: <reason>`` lines
-on stderr for any violated invariant, or prints ``<tool>: OK``.
+on stderr for any violated invariant, or prints ``<tool>: OK``. The
+perf gate reads its baseline and reports its verdict the same way.
 
 Usage (from a script in this directory):
 

@@ -14,8 +14,7 @@
  * stay byte-identical across --jobs values, journal resumes and
  * machines (the repo's determinism contract), while timing — which can
  * never be — lives in one clearly-marked sidecar. Regression tooling
- * that diffs reports strips "perf" first; the CI perf gate does the
- * opposite and reads only it. See docs/performance.md.
+ * that diffs reports strips "perf" first. See docs/performance.md.
  */
 
 #pragma once

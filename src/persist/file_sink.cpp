@@ -1,13 +1,13 @@
 /**
  * @file
- * FileSink/FileBackend: the filesystem implementation of the sink
- * layer (docs/durability.md). All failure paths return structured
- * Status with errno text; atomicWrite is tmp + fsync + rename + parent
- * directory fsync, the same recipe every journaling store uses so a
- * crash can never leave a torn object under the live name.
+ * FileSink/FileBackend (persist/file_sink.hpp). All failure paths
+ * return structured Status with errno text; atomicWrite is tmp + fsync
+ * + rename + parent directory fsync, the same recipe every journaling
+ * store uses so a crash can never leave a torn file under the live
+ * name.
  */
 
-#include "persist/sink.hpp"
+#include "persist/file_sink.hpp"
 
 #include <cerrno>
 #include <cstring>
@@ -88,15 +88,7 @@ FileSink::open(const std::string& path)
     if (fd < 0) {
         return ioFail(path, "cannot open for append");
     }
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) {
-        int saved = errno;
-        ::close(fd);
-        errno = saved;
-        return ioFail(path, "fstat failed");
-    }
-    return std::unique_ptr<FileSink>(new FileSink(
-        fd, path, static_cast<std::uint64_t>(st.st_size)));
+    return std::unique_ptr<FileSink>(new FileSink(fd, path));
 }
 
 Status
@@ -112,7 +104,6 @@ FileSink::append(const void* data, std::size_t len)
         }
         off += static_cast<std::size_t>(n);
     }
-    size_ += len;
     return Status::ok();
 }
 
@@ -146,12 +137,10 @@ FileBackend::path(const std::string& name) const
     return root_ + "/" + name;
 }
 
-Expected<std::unique_ptr<Sink>>
+Expected<std::unique_ptr<FileSink>>
 FileBackend::openAppend(const std::string& name)
 {
-    auto sink_or = FileSink::open(path(name));
-    if (!sink_or) return sink_or.status();
-    return std::unique_ptr<Sink>(std::move(*sink_or));
+    return FileSink::open(path(name));
 }
 
 Expected<std::vector<std::uint8_t>>

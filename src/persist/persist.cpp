@@ -216,8 +216,8 @@ struct PersistTier::ShardState
 
     // Sink side: the writer appends, the snapshot thread rotates.
     std::mutex sinkMx;
-    std::unique_ptr<Sink> sink;   ///< guarded by sinkMx once started
-    std::uint64_t segment = 0;    ///< guarded by sinkMx once started
+    std::unique_ptr<FileSink> sink; ///< guarded by sinkMx once started
+    std::uint64_t segment = 0;      ///< guarded by sinkMx once started
 
     // Durability side: group-commit waiters under fsync=always.
     std::mutex dmx;
@@ -251,7 +251,7 @@ struct PersistTier::ShardState
 // ---- lifecycle ------------------------------------------------------
 
 PersistTier::PersistTier(PersistConfig cfg,
-                         std::unique_ptr<SinkBackend> backend,
+                         std::unique_ptr<FileBackend> backend,
                          std::uint32_t shards)
     : cfg_(std::move(cfg)), backend_(std::move(backend))
 {
@@ -282,7 +282,7 @@ PersistTier::open(const PersistConfig& cfg, std::uint32_t shards,
     }
     auto backend_or = FileBackend::open(cfg.dataDir);
     if (!backend_or) return backend_or.status();
-    std::unique_ptr<SinkBackend> backend = std::move(*backend_or);
+    std::unique_ptr<FileBackend> backend = std::move(*backend_or);
 
     // The MANIFEST pins the store shape. Replaying shard-partitioned
     // logs into a differently-sharded (or differently-configured)
@@ -563,7 +563,7 @@ PersistTier::syncShard(ShardState& st, bool* dirty)
                 "fault injection: induced log fsync failure at site "
                 "'persist.fsync'");
         } else {
-            s = st.sink->sync(cfg_.dataOnlySync);
+            s = st.sink->sync(/*dataOnly=*/true);
         }
     }
     st.fsyncNs.fetch_add(elapsedNs(t0), std::memory_order_relaxed);

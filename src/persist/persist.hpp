@@ -52,7 +52,7 @@
 #include "common/stats_registry.hpp"
 #include "common/status.hpp"
 #include "persist/oplog.hpp"
-#include "persist/sink.hpp"
+#include "persist/file_sink.hpp"
 #include "persist/snapshot.hpp"
 
 namespace zc::persist {
@@ -88,10 +88,6 @@ struct PersistConfig
 
     std::size_t queueCap = 4096; ///< per-shard op queue capacity
     Backpressure backpressure = Backpressure::Block;
-
-    /** fdatasync instead of fsync for log appends (snapshot publish
-     *  always uses full fsync + rename). */
-    bool dataOnlySync = true;
 
     bool enabled() const { return !dataDir.empty(); }
     Status validate() const;
@@ -266,7 +262,7 @@ class PersistTier
   private:
     struct ShardState;
 
-    PersistTier(PersistConfig cfg, std::unique_ptr<SinkBackend> backend,
+    PersistTier(PersistConfig cfg, std::unique_ptr<FileBackend> backend,
                 std::uint32_t shards);
 
     std::string segmentName(std::uint32_t shard,
@@ -284,7 +280,7 @@ class PersistTier
     listSegments(std::uint32_t shard);
 
     PersistConfig cfg_;
-    std::unique_ptr<SinkBackend> backend_;
+    std::unique_ptr<FileBackend> backend_;
     std::vector<std::unique_ptr<ShardState>> shards_;
     std::function<SnapshotData(std::uint32_t)> snapshotFn_;
     bool recovered_ = false;

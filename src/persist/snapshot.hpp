@@ -16,7 +16,7 @@
  * watermark. Recovery loads the snapshot, then replays only log
  * records with seqno > watermark.
  *
- * Snapshots are written whole through SinkBackend::atomicWrite
+ * Snapshots are written whole through FileBackend::atomicWrite
  * (tmp + fsync + rename), so a crash mid-compaction leaves the
  * previous snapshot intact; decode rejects any torn or bit-flipped
  * blob with a structured Truncated/Corruption status and recovery
