@@ -154,10 +154,15 @@ ZArray::pushFirstLevel(Addr incoming)
 {
     // First-level candidates: the blocks conflicting with the incoming
     // address in each way. Their tags were already read by the missing
-    // lookup, so they add no tag-array traffic here.
+    // lookup, so they add no tag-array traffic here. All W are read,
+    // also past the walk's stop, because they are insert()'s check that
+    // the block is not resident.
     wayIndex_.forEachPosition(incoming, [&](std::uint32_t w, BlockPos pos) {
-        pushNode(pos, w, -1);
-        return walkFoundEmpty_ || walkCapped_;
+        if (tags_[pos] == incoming) {
+            zc_panic("insert of a resident block (its probe hits)");
+        }
+        if (!walkFoundEmpty_ && !walkCapped_) pushNode(pos, w, -1);
+        return false;
     });
     return walkFoundEmpty_ || walkCapped_;
 }
@@ -225,15 +230,13 @@ ZArray::walkDfs(Addr incoming)
 }
 
 std::int32_t
-ZArray::findShallowestEmpty(std::size_t from) const
+ZArray::emptyNode() const
 {
-    // nodes_ is in BFS order, so the first empty found is shallowest.
-    for (std::size_t i = from; i < nodes_.size(); i++) {
-        if (nodes_[i].addr == kInvalidAddr) {
-            return static_cast<std::int32_t>(i);
-        }
-    }
-    return -1;
+    // Every walk stops at the first empty slot it pushes, so that slot
+    // is the last node, and the shallowest empty one.
+    if (!walkFoundEmpty_) return -1;
+    zc_assert(nodes_.back().addr == kInvalidAddr);
+    return static_cast<std::int32_t>(nodes_.size()) - 1;
 }
 
 std::int32_t
@@ -325,7 +328,6 @@ Replacement
 ZArray::insert(Addr lineAddr, const AccessContext& ctx)
 {
     zc_assert(lineAddr != kInvalidAddr);
-    zc_assert(probe(lineAddr) == kInvalidPos);
 
     nodes_.clear();
     walkFoundEmpty_ = false;
@@ -340,19 +342,19 @@ ZArray::insert(Addr lineAddr, const AccessContext& ctx)
     switch (cfg_.strategy) {
       case WalkStrategy::Bfs:
         candidates = walkBfs(lineAddr);
-        victim_idx = findShallowestEmpty(0);
+        victim_idx = emptyNode();
         if (victim_idx < 0) victim_idx = selectAmong(0, nodes_.size(), -1);
         break;
 
       case WalkStrategy::Dfs:
         candidates = walkDfs(lineAddr);
-        victim_idx = findShallowestEmpty(0);
+        victim_idx = emptyNode();
         if (victim_idx < 0) victim_idx = selectAmong(0, nodes_.size(), -1);
         break;
 
       case WalkStrategy::Hybrid: {
         candidates = walkBfs(lineAddr);
-        victim_idx = findShallowestEmpty(0);
+        victim_idx = emptyNode();
         if (victim_idx < 0) {
             // Phase 2: try to re-insert the phase-1 victim instead of
             // evicting it, doubling the candidate pool with no extra
@@ -363,7 +365,7 @@ ZArray::insert(Addr lineAddr, const AccessContext& ctx)
                          static_cast<std::size_t>(v1) + 1, cfg_.levels + 1);
             candidates += static_cast<std::uint32_t>(nodes_.size() -
                                                      phase2_begin);
-            victim_idx = findShallowestEmpty(phase2_begin);
+            victim_idx = emptyNode();
             if (victim_idx < 0) {
                 victim_idx = selectAmong(phase2_begin, nodes_.size(), v1);
             }

@@ -294,7 +294,8 @@ class ZArray : public CacheArray
                       std::uint32_t levels);
     std::uint32_t walkBfs(Addr incoming);
     std::uint32_t walkDfs(Addr incoming);
-    std::int32_t findShallowestEmpty(std::size_t from) const;
+    /** The walk's empty slot (its last node), or -1 if it found none. */
+    std::int32_t emptyNode() const;
     std::int32_t selectAmong(std::size_t begin, std::size_t end,
                              std::int32_t extra_idx);
     Replacement commit(Addr lineAddr, const AccessContext& ctx,

@@ -103,19 +103,21 @@ Expected<Response>
 ZkvClient::recvResponse()
 {
     for (;;) {
-        if (!rbuf_.empty()) {
+        if (rpos_ < rbuf_.size()) {
             Response resp;
-            auto consumed_or =
-                decodeResponse(rbuf_.data(), rbuf_.size(), &resp);
+            auto consumed_or = decodeResponse(
+                rbuf_.data() + rpos_, rbuf_.size() - rpos_, &resp);
             if (!consumed_or) return consumed_or.status();
             if (*consumed_or > 0) {
-                rbuf_.erase(rbuf_.begin(),
-                            rbuf_.begin() +
-                                static_cast<std::ptrdiff_t>(
-                                    *consumed_or));
+                rpos_ += *consumed_or;
                 return resp;
             }
         }
+        // Compact once per recv, not once per frame: only the partial
+        // frame, if any, moves to the front.
+        rbuf_.erase(rbuf_.begin(),
+                    rbuf_.begin() + static_cast<std::ptrdiff_t>(rpos_));
+        rpos_ = 0;
         std::uint8_t buf[4096];
         ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
         if (n == 0) return truncatedAtEof(rbuf_.size());

@@ -106,6 +106,7 @@ class ZkvClient
     bool crc_ = false;
     std::uint64_t nextId_ = 1;
     std::vector<std::uint8_t> rbuf_;
+    std::size_t rpos_ = 0; ///< bytes of rbuf_ already decoded
     std::vector<std::uint8_t> wbuf_;
 };
 

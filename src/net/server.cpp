@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -107,7 +108,13 @@ ZkvServer::create(const ZkvServerConfig& cfg)
                          {"net_accepted", sv.accepted},
                          {"net_closed", sv.closed},
                          {"net_protocol_errors", sv.protocolErrors},
-                         {"net_mode_errors", sv.modeErrors}});
+                         {"net_mode_errors", sv.modeErrors},
+                         {"net_rounds", sv.rounds},
+                         {"net_polls", sv.polls},
+                         {"net_parks", sv.parks},
+                         {"net_parked_ns", sv.parkedNs},
+                         {"net_recv_calls", sv.recvCalls},
+                         {"net_send_calls", sv.sendCalls}});
                     return s;
                 });
         }
@@ -242,6 +249,7 @@ ZkvServer::readReady(Conn& c)
     std::uint8_t buf[4096];
     for (;;) {
         ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
+        st_.recvCalls.fetch_add(1, std::memory_order_relaxed);
         if (n > 0) {
             c.in.insert(c.in.end(), buf, buf + n);
             c.sawBytes = true;
@@ -340,7 +348,7 @@ ZkvServer::dispatchRound()
         shardOps_.resize(nsh);
         shardRes_.resize(nsh);
     }
-    std::vector<std::uint32_t> touched;
+    touched_.clear();
     for (PendingReq& p : pending_) {
         if (p.ping || p.modeErr) continue;
         StoreBatchOp op;
@@ -355,11 +363,11 @@ ZkvServer::dispatchRound()
           case MsgType::Put: op.kind = ObsOp::Put; break;
           default: op.kind = ObsOp::Erase; break;
         }
-        if (shardOps_[p.shard].empty()) touched.push_back(p.shard);
+        if (shardOps_[p.shard].empty()) touched_.push_back(p.shard);
         p.batchSlot = shardOps_[p.shard].size();
         shardOps_[p.shard].push_back(op);
     }
-    for (std::uint32_t s : touched) {
+    for (std::uint32_t s : touched_) {
         shardRes_[s].resize(shardOps_[s].size());
         store_->runShardBatch(s, shardOps_[s], shardRes_[s].data());
         st_.batches.fetch_add(1, std::memory_order_relaxed);
@@ -403,7 +411,7 @@ ZkvServer::dispatchRound()
         st_.framesOut.fetch_add(1, std::memory_order_relaxed);
     }
     pending_.clear();
-    for (std::uint32_t s : touched) {
+    for (std::uint32_t s : touched_) {
         shardOps_[s].clear();
         shardRes_[s].clear();
     }
@@ -420,6 +428,7 @@ ZkvServer::flushOut(Conn& c)
         }
         ssize_t n = ::send(c.fd, c.out.data() + c.outSent,
                            c.out.size() - c.outSent, MSG_NOSIGNAL);
+        st_.sendCalls.fetch_add(1, std::memory_order_relaxed);
         if (n > 0) {
             c.outSent += static_cast<std::size_t>(n);
             st_.bytesOut.fetch_add(static_cast<std::uint64_t>(n),
@@ -494,9 +503,29 @@ ZkvServer::serve()
 
     if (snap_) snap_->start();
 
+    // Poll with a zero timeout until kPollBudgetNs has passed since the
+    // end of the last round that saw events, then park. The drain keeps
+    // parking: its quiescence rule reads one round's progress, and a
+    // parked round gives a connection that is still sending the time
+    // it had before.
+    std::uint64_t pollUntilNs = 0;
+    bool busy = false;
+
     for (;;) {
-        int timeout_ms = draining_ ? 10 : 200;
+        const std::uint64_t now = obsNowNs();
+        if (busy) pollUntilNs = now + kPollBudgetNs;
+        const bool poll = !draining_ && now < pollUntilNs;
+        st_.rounds.fetch_add(1, std::memory_order_relaxed);
+        (poll ? st_.polls : st_.parks)
+            .fetch_add(1, std::memory_order_relaxed);
+        const int timeout_ms = poll ? 0 : draining_ ? 10 : 200;
         int n = ::epoll_wait(epollFd_, evs, kMaxEvents, timeout_ms);
+        if (!poll) {
+            // max: TSC reads on two cores may disagree by a few ticks.
+            st_.parkedNs.fetch_add(std::max(obsNowNs(), now) - now,
+                                   std::memory_order_relaxed);
+        }
+        busy = n > 0;
         if (n < 0) {
             if (errno == EINTR) continue;
             return errnoStatus("epoll_wait");
@@ -622,6 +651,12 @@ ZkvServer::stats() const
     s.rejectedConns = st_.rejectedConns.load(std::memory_order_relaxed);
     s.drained = st_.drained.load(std::memory_order_relaxed);
     s.drainAborted = st_.drainAborted.load(std::memory_order_relaxed);
+    s.rounds = st_.rounds.load(std::memory_order_relaxed);
+    s.polls = st_.polls.load(std::memory_order_relaxed);
+    s.parks = st_.parks.load(std::memory_order_relaxed);
+    s.parkedNs = st_.parkedNs.load(std::memory_order_relaxed);
+    s.recvCalls = st_.recvCalls.load(std::memory_order_relaxed);
+    s.sendCalls = st_.sendCalls.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -669,6 +704,18 @@ ZkvServer::registerStats(StatGroup& g)
     srv.addCounter("drain_aborted", "connections force-closed at drain "
                                     "deadline",
                    [this] { return stats().drainAborted; });
+    srv.addCounter("rounds", "epoll_wait calls (polls + parks)",
+                   [this] { return stats().rounds; });
+    srv.addCounter("polls", "epoll_wait calls with a zero timeout",
+                   [this] { return stats().polls; });
+    srv.addCounter("parks", "blocking epoll_wait calls",
+                   [this] { return stats().parks; });
+    srv.addCounter("parked_ns", "time spent inside blocking epoll_wait",
+                   [this] { return stats().parkedNs; });
+    srv.addCounter("recv_calls", "recv calls, EAGAIN included",
+                   [this] { return stats().recvCalls; });
+    srv.addCounter("send_calls", "send calls, EAGAIN included",
+                   [this] { return stats().sendCalls; });
     store_->registerStats(g);
     if (tracer_) tracer_->registerStats(g.group("obs"));
 }

@@ -17,6 +17,13 @@
  * always complete in order — and flushed with at most one write()
  * per connection per round, amortizing syscalls the same way.
  *
+ * Poll before park: after a round that saw events, the loop calls
+ * epoll_wait with a zero timeout until kPollBudgetNs passes with no
+ * event, and only then blocks. A client that sends its next request
+ * within the budget of its last response does not wait for the loop
+ * thread to be woken. The stats count every epoll_wait as a poll or
+ * a park, and the time spent parked (docs/server.md).
+ *
  * Shutdown: shutdown() (or the doorbell) closes the listener and
  * enters drain mode: buffered and already-readable requests are still
  * executed and their responses flushed; a connection closes once it
@@ -129,11 +136,25 @@ struct ZkvServerStats
     std::uint64_t rejectedConns = 0; ///< over maxConnections
     std::uint64_t drained = 0;       ///< conns closed clean in drain
     std::uint64_t drainAborted = 0;  ///< conns force-closed at deadline
+    std::uint64_t rounds = 0;    ///< epoll_wait calls (== polls + parks)
+    std::uint64_t polls = 0;     ///< epoll_wait calls with a zero timeout
+    std::uint64_t parks = 0;     ///< blocking epoll_wait calls
+    std::uint64_t parkedNs = 0;  ///< time spent inside blocking calls
+    std::uint64_t recvCalls = 0; ///< recv(2) calls, EAGAIN included
+    std::uint64_t sendCalls = 0; ///< send(2) calls, EAGAIN included
 };
 
 class ZkvServer
 {
   public:
+    /**
+     * How long the loop keeps polling after its last event before it
+     * parks. It must exceed the gap between a response leaving the
+     * server and a lone client's next request arriving; the value and
+     * the gap it was chosen from are in docs/server.md.
+     */
+    static constexpr std::uint64_t kPollBudgetNs = 50'000;
+
     /** Build the store, bind + listen (resolving an ephemeral port),
      *  and set up epoll; serve() then runs the loop. */
     static Expected<std::unique_ptr<ZkvServer>>
@@ -215,7 +236,6 @@ class ZkvServer
     void updateEpollInterest(Conn& c);
     void closeConn(int fd);
     void beginDrain();
-    bool drainComplete() const;
 
     ZkvServerConfig cfg_;
     std::unique_ptr<ZkvStore> store_;
@@ -232,6 +252,7 @@ class ZkvServer
     /** Per-shard dispatch scratch, reused across rounds. */
     std::vector<std::vector<StoreBatchOp>> shardOps_;
     std::vector<std::vector<StoreBatchResult>> shardRes_;
+    std::vector<std::uint32_t> touched_; ///< shards with ops this round
 
     bool draining_ = false;
     std::uint64_t drainDeadlineNs_ = 0;
@@ -249,6 +270,9 @@ class ZkvServer
         std::atomic<std::uint64_t> readErrors{0}, writeErrors{0};
         std::atomic<std::uint64_t> acceptErrors{0}, rejectedConns{0};
         std::atomic<std::uint64_t> drained{0}, drainAborted{0};
+        std::atomic<std::uint64_t> rounds{0}, polls{0}, parks{0};
+        std::atomic<std::uint64_t> parkedNs{0};
+        std::atomic<std::uint64_t> recvCalls{0}, sendCalls{0};
     };
     AtomicStats st_;
 

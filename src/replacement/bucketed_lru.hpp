@@ -85,10 +85,7 @@ class BucketedLruPolicy : public ReplacementPolicy
     double
     score(BlockPos pos) const override
     {
-        std::uint32_t age =
-            (static_cast<std::uint32_t>(counter_) - timestamps_[pos]) &
-            tsMask_;
-        return -static_cast<double>(age);
+        return -static_cast<double>(age(pos));
     }
 
     /**
@@ -101,9 +98,15 @@ class BucketedLruPolicy : public ReplacementPolicy
     select(std::span<const BlockPos> cands) override
     {
         zc_assert(!cands.empty());
+        // The oldest bucket wins; the first candidate wins a tie.
         BlockPos best = cands[0];
+        std::uint32_t bestAge = age(best);
         for (std::size_t i = 1; i < cands.size(); i++) {
-            if (score(cands[i]) < score(best)) best = cands[i];
+            const std::uint32_t a = age(cands[i]);
+            if (a > bestAge) {
+                best = cands[i];
+                bestAge = a;
+            }
         }
         return best;
     }
@@ -125,11 +128,23 @@ class BucketedLruPolicy : public ReplacementPolicy
     std::uint32_t timestampBits() const { return tsBits_; }
 
   private:
+    /** Mod-2^n age of @p pos's bucket relative to the counter. */
+    std::uint32_t
+    age(BlockPos pos) const
+    {
+        return (static_cast<std::uint32_t>(counter_) - timestamps_[pos]) &
+               tsMask_;
+    }
+
     void
     touch(BlockPos pos)
     {
         accesses_++;
-        if (accesses_ % accessesPerTick_ == 0) counter_++;
+        // The counter ticks on every k-th access, k = accessesPerTick_.
+        if (--untilTick_ == 0) {
+            counter_++;
+            untilTick_ = accessesPerTick_;
+        }
         timestamps_[pos] = static_cast<std::uint32_t>(counter_) & tsMask_;
         seq_[pos] = accesses_;
     }
@@ -138,6 +153,7 @@ class BucketedLruPolicy : public ReplacementPolicy
     std::uint32_t tsMask_;
     std::uint64_t accessesPerTick_;
     std::uint64_t accesses_ = 0;
+    std::uint64_t untilTick_ = accessesPerTick_; ///< accesses to the next tick
     std::uint64_t counter_ = 0;
     std::vector<std::uint32_t> timestamps_;
     std::vector<std::uint64_t> seq_;

@@ -6,17 +6,21 @@
  * streaming decode over split byte windows; an end-to-end localhost
  * server whose read-your-writes view matches a direct ZkvStore built
  * from the identical config; pipelined per-connection ordering;
- * graceful-drain delivery of in-flight responses; and the net.* fault
- * sites (docs/robustness.md) surfacing as structured failures, not
- * crashes.
+ * graceful-drain delivery of in-flight responses; the loop's poll and
+ * park rounds; a client decoding many responses per read; and the
+ * net.* fault sites (docs/robustness.md) surfacing as structured
+ * failures, not crashes.
  */
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -737,6 +741,147 @@ TEST(NetServer, StatsReconcileFramesAndOps)
     EXPECT_LE(st.batches, st.batchedOps);
     EXPECT_EQ(st.accepted, 1u);
     EXPECT_EQ(st.closed, 1u);
+    // Every epoll_wait is either a poll or a park; the round after a
+    // busy round always polls. Sequential round trips take one recv
+    // and one send per frame at least.
+    EXPECT_EQ(st.polls + st.parks, st.rounds);
+    EXPECT_GE(st.polls, 1u);
+    EXPECT_GE(st.parks, 1u);
+    EXPECT_GE(st.recvCalls, st.framesIn);
+    EXPECT_GE(st.sendCalls, st.framesOut);
+}
+
+/** A request sent after the poll budget has lapsed finds the loop
+ *  parked; it wakes the loop and is answered, and the park's time is
+ *  counted. A park's time is added when it returns, so the idle time
+ *  shows up once the request has woken the loop. */
+TEST(NetServer, RequestAfterThePollBudgetWakesAParkedLoop)
+{
+    ServerFixture f;
+    auto cl = f.client();
+    ASSERT_TRUE(cl);
+    ASSERT_TRUE(cl->put(1, 2).hasValue());
+    const ZkvServerStats busy = f.server().stats();
+
+    constexpr auto kIdle = std::chrono::milliseconds(20);
+    static_assert(kIdle > std::chrono::nanoseconds(
+                              100 * ZkvServer::kPollBudgetNs));
+    std::this_thread::sleep_for(kIdle);
+
+    auto hit = cl->get(1);
+    ASSERT_TRUE(hit.hasValue()) << hit.status().str();
+    ASSERT_TRUE(hit->has_value());
+    EXPECT_EQ(**hit, 2u);
+    const ZkvServerStats woken = f.server().stats();
+    EXPECT_GE(woken.parkedNs - busy.parkedNs,
+              static_cast<std::uint64_t>(
+                  std::chrono::nanoseconds(kIdle).count() / 2));
+    EXPECT_GE(woken.parks, 2u); // before the put, and across the idle
+}
+
+/** shutdown() right after a response, inside the loop's poll window:
+ *  the doorbell is seen, every in-flight response is delivered, and
+ *  the drain ends well before its deadline. */
+TEST(NetServer, ShutdownInThePollWindowDrainsBeforeTheDeadline)
+{
+    ZkvServerConfig cfg;
+    cfg.store = tinyStore();
+    cfg.drainTimeoutMs = 2000;
+    ServerFixture f(cfg);
+    auto cl = f.client();
+    ASSERT_TRUE(cl);
+
+    constexpr int kDepth = 32;
+    for (int i = 0; i < kDepth; i++) {
+        Request req;
+        req.id = cl->nextId();
+        req.type = MsgType::Put;
+        req.key = static_cast<std::uint64_t>(i);
+        req.value = static_cast<std::uint64_t>(i) + 3;
+        ASSERT_TRUE(cl->sendRaw(req).isOk());
+    }
+    auto first = cl->recvResponse();
+    ASSERT_TRUE(first.hasValue()) << first.status().str();
+    const auto t0 = std::chrono::steady_clock::now();
+    f.server().shutdown();
+
+    int got = 1;
+    while (cl->recvResponse().hasValue()) got++;
+    f.stop();
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    EXPECT_EQ(got, kDepth);
+    EXPECT_LT(ms, cfg.drainTimeoutMs / 2);
+    const auto st = f.server().stats();
+    EXPECT_EQ(st.framesOut, static_cast<std::uint64_t>(kDepth));
+    EXPECT_EQ(st.drained, 1u);
+    EXPECT_EQ(st.drainAborted, 0u);
+    EXPECT_EQ(st.polls + st.parks, st.rounds);
+}
+
+/**
+ * One recv delivers many responses and the head of the last one; the
+ * rest of that frame comes in a second recv. The client decodes them
+ * all in order, ids and payloads intact. A bare listener stands in
+ * for the server so the test decides where the bytes are cut.
+ */
+TEST(NetClient, ManyResponsesPerRecvAndASplitLastFrame)
+{
+    const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t alen = sizeof(addr);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), alen), 0);
+    ASSERT_EQ(::listen(lfd, 1), 0);
+    ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen),
+              0);
+    ZkvClientConfig cc;
+    cc.port = ntohs(addr.sin_port);
+    auto cl = ZkvClient::connect(cc);
+    ASSERT_TRUE(cl.hasValue()) << cl.status().str();
+    const int peer = ::accept(lfd, nullptr, nullptr);
+    ASSERT_GE(peer, 0);
+
+    constexpr int kFrames = 24;
+    Pcg32 rng(0x5b1f, 1);
+    std::vector<Response> want;
+    std::vector<std::uint8_t> wire;
+    for (int i = 0; i < kFrames; i++) {
+        Response r;
+        r.type = MsgType::Get;
+        r.id = 1000 + static_cast<std::uint64_t>(i);
+        r.rflags = kRespFlagHit;
+        r.bytes = true;
+        r.valueBytes.resize(16 + rng.below(112));
+        for (auto& b : r.valueBytes) {
+            b = static_cast<std::uint8_t>(rng.next64());
+        }
+        encodeResponse(r, wire);
+        want.push_back(std::move(r));
+    }
+    ASSERT_LT(wire.size(), 4096u); // fits one client recv
+    const std::size_t cut = wire.size() - 5; // inside the last frame
+    ASSERT_EQ(::send(peer, wire.data(), cut, MSG_NOSIGNAL),
+              static_cast<ssize_t>(cut));
+    for (int i = 0; i < kFrames; i++) {
+        if (i == kFrames - 1) {
+            ASSERT_EQ(::send(peer, wire.data() + cut, wire.size() - cut,
+                             MSG_NOSIGNAL),
+                      static_cast<ssize_t>(wire.size() - cut));
+        }
+        auto got = (*cl)->recvResponse();
+        ASSERT_TRUE(got.hasValue()) << got.status().str();
+        EXPECT_EQ(got->id, want[static_cast<std::size_t>(i)].id);
+        EXPECT_EQ(got->valueBytes,
+                  want[static_cast<std::size_t>(i)].valueBytes);
+    }
+    ::close(peer);
+    auto eof = (*cl)->recvResponse();
+    EXPECT_FALSE(eof.hasValue());
+    ::close(lfd);
 }
 
 // The server samples the same store counters as the load generator
@@ -797,7 +942,8 @@ TEST(NetServer, DurableMetricsCarryStoreCountersAndReconcile)
     const JsonValue& last = windows.back();
     for (const char* name :
          {"persist_appended", "walk_candidates", "lock_contended",
-          "net_frames_in"}) {
+          "net_frames_in", "net_rounds", "net_polls", "net_parks",
+          "net_parked_ns", "net_recv_calls", "net_send_calls"}) {
         ASSERT_NE(last.find(name), nullptr) << name;
     }
     EXPECT_EQ(last.find("ops")->asU64(), 6000u);
