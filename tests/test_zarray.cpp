@@ -6,14 +6,18 @@
  * relocation-chain integrity (no lost or duplicated blocks under any
  * walk strategy), victim optimality among candidates, empty-slot
  * absorption, early stop, Bloom repeat filtering, skew==Z(L=1)
- * equivalence, and the figure-of-merit helpers.
+ * equivalence, and the figure-of-merit helpers. ZArrayReference checks
+ * every BFS insert against the walk rebuilt from its definition
+ * outside ZArray.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "cache/skew_associative_array.hpp"
 #include "cache/z_array.hpp"
 #include "common/rng.hpp"
+#include "hash/hash_factory.hpp"
 #include "replacement/lru.hpp"
 #include "replacement/opt.hpp"
 #include "replacement/random_policy.hpp"
@@ -451,6 +456,133 @@ TEST(ZArray, HybridDoublesCandidates)
     }
     // Phase 1 gives 16; phase 2 expands the victim subtree.
     EXPECT_GT(z->walkStats().avgCandidates(), 20.0);
+}
+
+// ---------------------------------------------------------------------
+// A reference for the walk itself
+// ---------------------------------------------------------------------
+
+/** What one BFS insert must do, by the walk's definition. */
+struct RefReplacement
+{
+    std::uint32_t candidates = 0;
+    BlockPos victimPos = kInvalidPos;
+    Addr evictedAddr = kInvalidAddr;
+    std::uint32_t relocations = 0;
+};
+
+/**
+ * The BFS walk of Section III-B rebuilt outside ZArray, from the
+ * array's tag snapshot (addrAt) and a second copy of its hash family
+ * @p fam. Nodes are taken in BFS order; a child whose position lies on
+ * its own ancestor path is skipped; the walk stops at the first empty
+ * slot or at the cap. The victim is that empty slot, or else the
+ * policy's best candidate, each position standing for its shallowest
+ * node. Run it before the insert it predicts.
+ */
+RefReplacement
+referenceBfs(const ZArray& z, const std::vector<HashPtr>& fam, Addr incoming)
+{
+    struct Node
+    {
+        BlockPos pos;
+        Addr addr;
+        std::uint32_t way;
+        int parent;
+        std::uint32_t depth;
+    };
+    const std::uint32_t cap = z.config().maxCandidates
+                                  ? z.config().maxCandidates
+                                  : std::numeric_limits<std::uint32_t>::max();
+    std::vector<Node> tree;
+    bool stop = false;
+    auto push = [&](std::uint32_t w, Addr occupant, int parent,
+                    std::uint32_t depth) {
+        const auto pos =
+            static_cast<BlockPos>(w * z.linesPerWay() + fam[w]->hash(occupant));
+        for (int a = parent; a != -1; a = tree[a].parent) {
+            if (tree[a].pos == pos) return;
+        }
+        tree.push_back({pos, z.addrAt(pos), w, parent, depth});
+        stop = tree.back().addr == kInvalidAddr || tree.size() >= cap;
+    };
+    for (std::uint32_t w = 0; w < z.ways() && !stop; w++) {
+        push(w, incoming, -1, 0);
+    }
+    for (std::size_t i = 0; i < tree.size() && !stop; i++) {
+        // BFS order: every later node is at least as deep.
+        if (tree[i].depth + 1 >= z.config().levels) break;
+        for (std::uint32_t w = 0; w < z.ways() && !stop; w++) {
+            if (w == tree[i].way) continue;
+            push(w, tree[i].addr, static_cast<int>(i), tree[i].depth + 1);
+        }
+    }
+
+    const Node* victim = &tree.back();
+    if (victim->addr != kInvalidAddr) {
+        std::set<BlockPos> seen;
+        victim = nullptr;
+        for (const Node& n : tree) {
+            if (!seen.insert(n.pos).second) continue;
+            if (!victim || z.policy().ordersBefore(n.pos, victim->pos)) {
+                victim = &n;
+            }
+        }
+    }
+    RefReplacement r;
+    r.candidates = static_cast<std::uint32_t>(tree.size());
+    r.victimPos = victim->pos;
+    r.evictedAddr = victim->addr;
+    r.relocations = victim->depth;
+    return r;
+}
+
+// Under full LRU no two blocks tie, so the victim does not depend on
+// the order the policy sees the candidates in. Every insert must do
+// what the definition says, both while the array fills (the walk ends
+// in an empty slot) and once it is full (the walk evicts). A cap below
+// W leaves the ways past it empty for good, so fullness is counted by
+// what the walk does, not by validCount().
+TEST(ZArrayReference, BfsWalkMatchesItsDefinition)
+{
+    constexpr std::uint32_t kLines = 64;
+    for (std::uint32_t ways : {2u, 4u, 8u}) {
+        for (std::uint32_t levels : {1u, 2u, 3u}) {
+            for (std::uint32_t cap : {0u, 6u, 16u}) {
+                const std::string label =
+                    "W" + std::to_string(ways) + " L" +
+                    std::to_string(levels) + " cap" + std::to_string(cap);
+                const std::uint32_t blocks = ways * kLines;
+                auto z = makeZ(blocks, ways, levels, WalkStrategy::Bfs, cap);
+                const auto fam = makeHashFamily(HashKind::H3, ways, kLines,
+                                                z->config().seed);
+                Pcg32 rng(21);
+                int absorbed = 0, evicted = 0;
+                for (int i = 0; i < 4000; i++) {
+                    // An odd multiplier spreads the footprint over all
+                    // address bits.
+                    const Addr a =
+                        rng.next64() % (blocks * 4) * 0x9e3779b97f4a7c15ULL;
+                    AccessContext c;
+                    c.lineAddr = a;
+                    if (z->access(a, c) != kInvalidPos) continue;
+                    const RefReplacement want = referenceBfs(*z, fam, a);
+                    (want.evictedAddr == kInvalidAddr ? absorbed : evicted)++;
+                    const Replacement got = z->insert(a, c);
+                    ASSERT_EQ(got.candidates, want.candidates)
+                        << label << " access " << i;
+                    ASSERT_EQ(got.victimPos, want.victimPos)
+                        << label << " access " << i;
+                    ASSERT_EQ(got.evictedAddr, want.evictedAddr)
+                        << label << " access " << i;
+                    ASSERT_EQ(got.relocations, want.relocations)
+                        << label << " access " << i;
+                }
+                EXPECT_GT(absorbed, 0) << label;
+                EXPECT_GT(evicted, 0) << label;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
