@@ -22,13 +22,16 @@
  *      counted under "sweep.failed" in --json output) or an output file
  *      could not be written;
  *   2  usage error — unknown flag value (policy/design name), a
- *      numeric flag that is not a whole decimal number, or a
- *      structured journal refusal (corrupt header, wrong grid).
+ *      numeric flag that does not parse whole (a count that is not a
+ *      whole decimal number, a fraction or rate that is not a finite
+ *      decimal number), or a structured journal refusal (corrupt
+ *      header, wrong grid).
  */
 
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -83,6 +86,31 @@ flagU64(int argc, char** argv, const std::string& key,
 {
     std::string v = flag(argc, argv, key, "");
     return v.empty() ? fallback : parseU64(v, "--" + key);
+}
+
+/**
+ * @p v as a finite decimal number ("0.7", "2e4"), or exit 2 naming the
+ * flag @p what: atof alone would read "9O" as 9 and "abc" as 0.
+ */
+inline double
+parseF64(const std::string& v, const std::string& what)
+{
+    double x = 0.0;
+    const char* last = v.data() + v.size();
+    auto [end, ec] = std::from_chars(v.data(), last, x);
+    if (v.empty() || ec != std::errc() || end != last || !std::isfinite(x)) {
+        std::fprintf(stderr, "error: %s: '%s' is not a decimal number\n",
+                     what.c_str(), v.c_str());
+        std::exit(2);
+    }
+    return x;
+}
+
+inline double
+flagF64(int argc, char** argv, const std::string& key, double fallback)
+{
+    std::string v = flag(argc, argv, key, "");
+    return v.empty() ? fallback : parseF64(v, "--" + key);
 }
 
 inline bool

@@ -96,6 +96,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "common/stats_registry.hpp"
 #include "net/client.hpp"
 #include "net/openloop.hpp"
 #include "obs/latency_scale.hpp"
@@ -125,8 +126,6 @@ constexpr std::uint64_t kWakeSlackNs = 70000;
 /** One connection-thread's tallies. */
 struct ConnStats
 {
-    explicit ConnStats(std::size_t bins) : latency(bins) {}
-
     std::uint64_t issued = 0;    ///< requests sent (== arrivals taken)
     std::uint64_t completed = 0; ///< responses received
     std::uint64_t lostInflight = 0; ///< forfeited to dead connections
@@ -141,8 +140,27 @@ struct ConnStats
     /** Response status bytes tallied per ErrorCode (index = code). */
     std::array<std::uint64_t, 16> statusCounts{};
 
-    UnitHistogram latency; ///< from INTENDED arrival to response
+    /** From INTENDED arrival to response. */
+    UnitHistogram latency{kLatencyBins};
     double seconds = 0.0;
+};
+
+/** ConnStats' counters, in the order of each run's `stats` block;
+ *  lateSends reports under `timing`. */
+constexpr CounterField<ConnStats> kConnCounters[] = {
+    {"issued", "requests sent", &ConnStats::issued},
+    {"completed", "responses received", &ConnStats::completed},
+    {"lost_inflight", "requests forfeited to dead connections",
+     &ConnStats::lostInflight},
+    {"transport_errors", "connection failures",
+     &ConnStats::transportErrors},
+    {"reconnects", "connections re-established", &ConnStats::reconnects},
+    {"gets", "get requests", &ConnStats::gets},
+    {"get_hits", "get responses that hit", &ConnStats::getHits},
+    {"puts", "put requests", &ConnStats::puts},
+    {"erases", "erase requests", &ConnStats::erases},
+    {"verify_failures", "get hits whose value failed its check",
+     &ConnStats::verifyFailures},
 };
 
 /**
@@ -179,7 +197,6 @@ struct PointConfig
     std::uint64_t seed = 1;
     std::uint64_t pipelineDepth = 0; ///< 0 = unbounded
     std::uint64_t drainWaitMs = 5000;
-    std::size_t latencyBins = 64;
 
     /** Bytes mode (docs/compression.md): variable-length payloads
      *  with deterministic per-key lengths in [vbMin, vbMax]. */
@@ -449,7 +466,7 @@ PointResult
 runPoint(const PointConfig& cfg, std::vector<ShadowLog>* shadows)
 {
     PointResult res;
-    res.perConn.assign(cfg.connections, ConnStats(cfg.latencyBins));
+    res.perConn.resize(cfg.connections);
     if (shadows != nullptr) shadows->assign(cfg.connections, {});
     WorkloadRegistry::prime();
 
@@ -477,21 +494,12 @@ runPoint(const PointConfig& cfg, std::vector<ShadowLog>* shadows)
 
 /** Merge per-connection stats (histograms bin-for-bin). */
 ConnStats
-aggregate(const PointResult& r, std::size_t bins)
+aggregate(const PointResult& r)
 {
-    ConnStats a(bins);
+    ConnStats a;
     for (const ConnStats& c : r.perConn) {
-        a.issued += c.issued;
-        a.completed += c.completed;
-        a.lostInflight += c.lostInflight;
-        a.transportErrors += c.transportErrors;
-        a.reconnects += c.reconnects;
+        sumCounters(a, kConnCounters, c);
         a.lateSends += c.lateSends;
-        a.gets += c.gets;
-        a.getHits += c.getHits;
-        a.puts += c.puts;
-        a.erases += c.erases;
-        a.verifyFailures += c.verifyFailures;
         for (std::size_t i = 0; i < a.statusCounts.size(); i++) {
             a.statusCounts[i] += c.statusCounts[i];
         }
@@ -510,7 +518,7 @@ parseRateList(const std::string& csv)
         std::size_t comma = csv.find(',', pos);
         if (comma == std::string::npos) comma = csv.size();
         std::string item = csv.substr(pos, comma - pos);
-        if (!item.empty()) out.push_back(std::atof(item.c_str()));
+        if (!item.empty()) out.push_back(parseF64(item, "--sweep-rates"));
         pos = comma + 1;
     }
     return out;
@@ -565,9 +573,8 @@ readShadow(const std::string& path,
             while (pos <= vals.size()) {
                 std::size_t comma = vals.find(',', pos);
                 if (comma == std::string::npos) comma = vals.size();
-                e.allowed.insert(std::strtoull(
-                    vals.substr(pos, comma - pos).c_str(), nullptr,
-                    10));
+                e.allowed.insert(parseU64(vals.substr(pos, comma - pos),
+                                          "--verify-shadow value"));
                 pos = comma + 1;
             }
         }
@@ -679,10 +686,9 @@ main(int argc, char** argv)
     base.connections = static_cast<std::uint32_t>(
         flagU64(argc, argv, "connections", 1));
     base.ops = flagU64(argc, argv, "ops", 100000);
-    base.rate = std::atof(flag(argc, argv, "rate", "50000").c_str());
-    base.getFrac = std::atof(flag(argc, argv, "get", "0.7").c_str());
-    base.eraseFrac =
-        std::atof(flag(argc, argv, "erase", "0.05").c_str());
+    base.rate = flagF64(argc, argv, "rate", 50000.0);
+    base.getFrac = flagF64(argc, argv, "get", 0.7);
+    base.eraseFrac = flagF64(argc, argv, "erase", 0.05);
     base.workload = flag(argc, argv, "workload", "canneal");
     base.seed = flagU64(argc, argv, "seed", 1);
     base.pipelineDepth = flagU64(argc, argv, "pipeline-depth", 0);
@@ -782,7 +788,7 @@ main(int argc, char** argv)
         std::vector<ShadowLog> shadows;
         PointResult r = runPoint(
             cfg, shadow_out.empty() ? nullptr : &shadows);
-        ConnStats a = aggregate(r, cfg.latencyBins);
+        ConnStats a = aggregate(r);
 
         for (std::uint32_t tid = 0; tid < shadows.size(); tid++) {
             for (std::uint64_t key : shadows[tid].putKeys) {
@@ -822,16 +828,7 @@ main(int argc, char** argv)
         timing.set("late_sends", JsonValue(a.lateSends));
 
         JsonValue stats = JsonValue::object();
-        stats.set("issued", JsonValue(a.issued));
-        stats.set("completed", JsonValue(a.completed));
-        stats.set("lost_inflight", JsonValue(a.lostInflight));
-        stats.set("transport_errors", JsonValue(a.transportErrors));
-        stats.set("reconnects", JsonValue(a.reconnects));
-        stats.set("gets", JsonValue(a.gets));
-        stats.set("get_hits", JsonValue(a.getHits));
-        stats.set("puts", JsonValue(a.puts));
-        stats.set("erases", JsonValue(a.erases));
-        stats.set("verify_failures", JsonValue(a.verifyFailures));
+        countersJson(stats, kConnCounters, a);
         stats.set("statuses", std::move(statuses));
 
         report.add(

@@ -188,23 +188,17 @@ parseValueBytesDist(const std::string& spec)
         body = spec.substr(8);
         uniform = true;
     }
-    if (body.empty()) return bad();
-    if (!uniform) {
-        char* end = nullptr;
-        std::uint64_t n = std::strtoull(body.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0') return bad();
-        return std::pair<std::uint32_t, std::uint32_t>{
-            static_cast<std::uint32_t>(n), static_cast<std::uint32_t>(n)};
-    }
-    std::size_t colon = body.find(':');
+    std::size_t colon = uniform ? body.find(':') : body.size();
     if (colon == std::string::npos) return bad();
-    std::string lo_s = body.substr(0, colon);
-    std::string hi_s = body.substr(colon + 1);
-    char* end = nullptr;
-    std::uint64_t lo = std::strtoull(lo_s.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return bad();
-    std::uint64_t hi = std::strtoull(hi_s.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return bad();
+    const std::uint64_t lo = parseU64(body.substr(0, colon), "--value-bytes");
+    const std::uint64_t hi =
+        uniform ? parseU64(body.substr(colon + 1), "--value-bytes") : lo;
+    if (lo < 4 || hi < lo || hi > kZkvMaxValueBytes) {
+        return Status::invalidArgument(
+            "store_loadgen: --value-bytes range [" + std::to_string(lo) +
+            ", " + std::to_string(hi) + "] must satisfy 4 <= LO <= HI <= " +
+            std::to_string(kZkvMaxValueBytes));
+    }
     return std::pair<std::uint32_t, std::uint32_t>{
         static_cast<std::uint32_t>(lo), static_cast<std::uint32_t>(hi)};
 }
@@ -244,13 +238,12 @@ main(int argc, char** argv)
     std::uint64_t blocks = flagU64(argc, argv, "blocks", 4096);
     std::uint64_t levels = flagU64(argc, argv, "levels", 2);
     std::uint64_t ops = flagU64(argc, argv, "ops", 200000);
-    double get_frac = std::atof(flag(argc, argv, "get", "0.7").c_str());
-    double erase_frac =
-        std::atof(flag(argc, argv, "erase", "0.05").c_str());
+    double get_frac = flagF64(argc, argv, "get", 0.7);
+    double erase_frac = flagF64(argc, argv, "erase", 0.05);
     bool scaling = flagBool(argc, argv, "scaling");
     std::string read_pct_str = flag(argc, argv, "read-pct", "");
     if (!read_pct_str.empty()) {
-        double read_pct = std::atof(read_pct_str.c_str());
+        double read_pct = parseF64(read_pct_str, "--read-pct");
         if (read_pct < 0.0 || read_pct > 100.0) {
             std::fprintf(stderr,
                          "error: --read-pct must be in [0, 100]\n");
@@ -266,7 +259,7 @@ main(int argc, char** argv)
     std::string workload = flag(argc, argv, "workload", "canneal");
     std::uint64_t seed = flagU64(argc, argv, "seed", 1);
     bool open_loop = flagBool(argc, argv, "open-loop");
-    double open_rate = std::atof(flag(argc, argv, "rate", "0").c_str());
+    double open_rate = flagF64(argc, argv, "rate", 0.0);
     std::string arrivals_name = flag(argc, argv, "arrivals", "poisson");
     std::string trace_out = flag(argc, argv, "trace-out", "");
     std::string metrics_out = flag(argc, argv, "metrics-out", "");
@@ -390,6 +383,14 @@ main(int argc, char** argv)
         std::fprintf(stderr, "error: %s\n", s.str().c_str());
         return 2;
     }
+    // Sink paths are set per grid point below.
+    ObsConfig obs_cfg;
+    obs_cfg.metricsIntervalMs = static_cast<std::uint32_t>(metrics_interval);
+    obs_cfg.ringCapacity = static_cast<std::size_t>(ring_cap);
+    if (Status s = obs_cfg.validate(); !s.isOk()) {
+        std::fprintf(stderr, "error: %s\n", s.str().c_str());
+        return 2;
+    }
 
     // Grid: array x ways x cands x shards x threads, declared before
     // execution so per-point seeds are pure functions of grid position.
@@ -434,13 +435,7 @@ main(int argc, char** argv)
                         p.cfg.arrivals = *arrivals;
                         p.cfg.seed = SweepSpec::pointSeed(
                             seed ^ 0x6c67ULL, grid.size());
-                        p.cfg.obs.tracePath = trace_out;
-                        p.cfg.obs.metricsPath = metrics_out;
-                        p.cfg.obs.promPath = prom_out;
-                        p.cfg.obs.metricsIntervalMs =
-                            static_cast<std::uint32_t>(metrics_interval);
-                        p.cfg.obs.ringCapacity =
-                            static_cast<std::size_t>(ring_cap);
+                        p.cfg.obs = obs_cfg;
                         p.cfg.store.persist = persist_cfg;
                         if (bytes_mode) {
                             p.cfg.store.value.maxBytes =
@@ -532,15 +527,8 @@ main(int argc, char** argv)
                       JsonValue(std::uint64_t{p.cfg.valueBytesMin}));
             compj.set("value_bytes_max",
                       JsonValue(std::uint64_t{p.cfg.valueBytesMax}));
-            compj.set("compress_calls", JsonValue(cp.compressCalls));
-            compj.set("decompress_calls", JsonValue(cp.decompressCalls));
-            compj.set("raw_bytes_total", JsonValue(cp.rawBytesTotal));
-            compj.set("stored_bytes_total",
-                      JsonValue(cp.storedBytesTotal));
-            compj.set("resident_raw_bytes",
-                      JsonValue(cp.residentRawBytes));
-            compj.set("resident_stored_bytes",
-                      JsonValue(cp.residentStoredBytes));
+            countersJson(compj, kCompressionCounters, cp);
+            countersJson(compj, kCompressionLevels, cp);
             compj.set("ratio", JsonValue(cp.ratio()));
             compj.set("resident_keys", JsonValue(r.residentKeys));
             compj.set(

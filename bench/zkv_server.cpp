@@ -97,11 +97,10 @@ armFaults(const std::string& spec_csv)
         std::string site = item.substr(0, c1);
         if (c1 != std::string::npos) {
             std::size_t c2 = item.find(':', c1 + 1);
-            fs.afterHits = std::strtoull(
-                item.substr(c1 + 1, c2 - c1 - 1).c_str(), nullptr, 10);
+            fs.afterHits =
+                parseU64(item.substr(c1 + 1, c2 - c1 - 1), "--fault");
             if (c2 != std::string::npos) {
-                fs.failCount = std::strtoull(
-                    item.substr(c2 + 1).c_str(), nullptr, 10);
+                fs.failCount = parseU64(item.substr(c2 + 1), "--fault");
             }
         }
         FaultInjection::enable(site, fs);

@@ -19,10 +19,17 @@
  * group); violations throw std::invalid_argument so misconfigured
  * registrations fail loudly and testably. reset() walks the tree
  * running registered reset hooks — the "end of warmup" semantics.
+ *
+ * A struct of uint64 counters lists its fields once, in a table of
+ * CounterField rows (end of this file); registration, sums, JSON
+ * blocks, cross-thread snapshots and metrics-window columns are all
+ * generated from that table.
  */
 
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -242,6 +249,82 @@ class StatsRegistry
   private:
     StatGroup root_;
 };
+
+/**
+ * One row of a counter struct's table: the stat name, its description
+ * and the uint64 field it reads. Each counter struct declares one table
+ * of these beside itself, and the helpers below generate its stats-tree
+ * registration, cross-shard and cross-thread sums, JSON blocks and
+ * cross-thread snapshots from that table (obs/metrics.hpp adds the
+ * metrics-window columns), so a counter is declared once and no export
+ * can list a different set.
+ */
+template <class T>
+struct CounterField
+{
+    const char* name;
+    const char* desc;
+    std::uint64_t T::*field;
+};
+
+/** Add every @p table field of @p from into @p into. */
+template <class T, std::size_t N>
+void
+sumCounters(T& into, const CounterField<T> (&table)[N], const T& from)
+{
+    for (const CounterField<T>& f : table) into.*f.field += from.*f.field;
+}
+
+/** Register every @p table field of the snapshot @p snap returns. */
+template <class T, std::size_t N, class Fn>
+void
+registerCounters(StatGroup& g, const CounterField<T> (&table)[N], Fn snap)
+{
+    for (const CounterField<T>& f : table) {
+        g.addCounter(f.name, f.desc,
+                     [snap, m = f.field] { return snap().*m; });
+    }
+}
+
+/** Set every @p table field of @p t as a member of the object @p out. */
+template <class T, std::size_t N>
+void
+countersJson(JsonValue& out, const CounterField<T> (&table)[N], const T& t)
+{
+    for (const CounterField<T>& f : table) {
+        out.set(f.name, JsonValue(t.*f.field));
+    }
+}
+
+static_assert(alignof(std::uint64_t) >=
+                  std::atomic_ref<std::uint64_t>::required_alignment,
+              "counter fields must be usable through std::atomic_ref");
+
+/**
+ * Bump a counter field that other threads read while this one writes
+ * it: a relaxed atomic add on the plain field (std::atomic_ref), so
+ * the counter struct stays the one declaration and needs no atomic
+ * mirror. Readers take their snapshot with loadCounters().
+ */
+inline void
+bumpCounter(std::uint64_t& c, std::uint64_t n = 1)
+{
+    std::atomic_ref<std::uint64_t>(c).fetch_add(n,
+                                                std::memory_order_relaxed);
+}
+
+/** Copy every @p table field of @p live, which writers bump through
+ *  bumpCounter(), into @p out with relaxed atomic loads. */
+template <class T, std::size_t N>
+void
+loadCounters(T& out, const CounterField<T> (&table)[N], const T& live)
+{
+    for (const CounterField<T>& f : table) {
+        out.*f.field = std::atomic_ref<std::uint64_t>(
+                           const_cast<std::uint64_t&>(live.*f.field))
+                           .load(std::memory_order_relaxed);
+    }
+}
 
 /** Append one compact JSON record to a JSONL stream file. */
 inline bool

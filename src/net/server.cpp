@@ -96,25 +96,7 @@ ZkvServer::create(const ZkvServerConfig& cfg)
             srv->snap_ = std::make_unique<MetricsSnapshotter>(
                 std::move(mc), [raw] {
                     MetricsSample s = raw->store_->metricsSample();
-                    const ZkvServerStats sv = raw->stats();
-                    s.counters.insert(
-                        s.counters.end(),
-                        {{"net_frames_in", sv.framesIn},
-                         {"net_frames_out", sv.framesOut},
-                         {"net_bytes_in", sv.bytesIn},
-                         {"net_bytes_out", sv.bytesOut},
-                         {"net_batches", sv.batches},
-                         {"net_batched_ops", sv.batchedOps},
-                         {"net_accepted", sv.accepted},
-                         {"net_closed", sv.closed},
-                         {"net_protocol_errors", sv.protocolErrors},
-                         {"net_mode_errors", sv.modeErrors},
-                         {"net_rounds", sv.rounds},
-                         {"net_polls", sv.polls},
-                         {"net_parks", sv.parks},
-                         {"net_parked_ns", sv.parkedNs},
-                         {"net_recv_calls", sv.recvCalls},
-                         {"net_send_calls", sv.sendCalls}});
+                    appendCounters(s, kServerCounters, raw->stats(), "net_");
                     return s;
                 });
         }
@@ -203,19 +185,19 @@ ZkvServer::acceptReady()
         if (fd < 0) {
             if (errno == EAGAIN || errno == EWOULDBLOCK) return;
             if (errno == EINTR) continue;
-            st_.acceptErrors.fetch_add(1, std::memory_order_relaxed);
+            bumpCounter(st_.acceptErrors);
             return;
         }
         if (ZC_INJECT_FAULT("net.accept")) {
             // Model a post-accept setup failure: the client sees an
             // immediate close (loadgen counts it as a transport error
             // and reconnects, docs/robustness.md).
-            st_.acceptErrors.fetch_add(1, std::memory_order_relaxed);
+            bumpCounter(st_.acceptErrors);
             ::close(fd);
             continue;
         }
         if (conns_.size() >= cfg_.maxConnections) {
-            st_.rejectedConns.fetch_add(1, std::memory_order_relaxed);
+            bumpCounter(st_.rejectedConns);
             ::close(fd);
             continue;
         }
@@ -229,12 +211,12 @@ ZkvServer::acceptReady()
         ev.events = EPOLLIN;
         ev.data.fd = fd;
         if (::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-            st_.acceptErrors.fetch_add(1, std::memory_order_relaxed);
+            bumpCounter(st_.acceptErrors);
             ::close(fd);
             continue;
         }
         conns_.emplace(fd, std::move(c));
-        st_.accepted.fetch_add(1, std::memory_order_relaxed);
+        bumpCounter(st_.accepted);
     }
 }
 
@@ -242,19 +224,18 @@ bool
 ZkvServer::readReady(Conn& c)
 {
     if (ZC_INJECT_FAULT("net.read")) {
-        st_.readErrors.fetch_add(1, std::memory_order_relaxed);
+        bumpCounter(st_.readErrors);
         closeConn(c.fd);
         return false;
     }
     std::uint8_t buf[4096];
     for (;;) {
         ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
-        st_.recvCalls.fetch_add(1, std::memory_order_relaxed);
+        bumpCounter(st_.recvCalls);
         if (n > 0) {
             c.in.insert(c.in.end(), buf, buf + n);
             c.sawBytes = true;
-            st_.bytesIn.fetch_add(static_cast<std::uint64_t>(n),
-                                  std::memory_order_relaxed);
+            bumpCounter(st_.bytesIn, static_cast<std::uint64_t>(n));
             if (static_cast<std::size_t>(n) < sizeof(buf)) break;
             continue;
         }
@@ -264,7 +245,7 @@ ZkvServer::readReady(Conn& c)
         }
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         if (errno == EINTR) continue;
-        st_.readErrors.fetch_add(1, std::memory_order_relaxed);
+        bumpCounter(st_.readErrors);
         closeConn(c.fd);
         return false;
     }
@@ -273,7 +254,7 @@ ZkvServer::readReady(Conn& c)
         // Peer is gone and nothing is owed: a clean close. Bytes of a
         // partial frame count as a truncated stream.
         if (!c.in.empty()) {
-            st_.protocolErrors.fetch_add(1, std::memory_order_relaxed);
+            bumpCounter(st_.protocolErrors);
         }
         closeConn(c.fd);
         return false;
@@ -297,7 +278,7 @@ ZkvServer::decodeFrames(Conn& c)
     const bool obs_on = store_->obsEnabled();
     while (off < c.in.size()) {
         if (ZC_INJECT_FAULT("net.frame")) {
-            st_.protocolErrors.fetch_add(1, std::memory_order_relaxed);
+            bumpCounter(st_.protocolErrors);
             closeConn(c.fd);
             return false;
         }
@@ -307,13 +288,13 @@ ZkvServer::decodeFrames(Conn& c)
         if (!consumed_or) {
             // Framing is desynchronized; no resync point exists
             // (protocol.hpp), so the connection is closed.
-            st_.protocolErrors.fetch_add(1, std::memory_order_relaxed);
+            bumpCounter(st_.protocolErrors);
             closeConn(c.fd);
             return false;
         }
         if (*consumed_or == 0) break; // partial frame: read more
         off += *consumed_or;
-        st_.framesIn.fetch_add(1, std::memory_order_relaxed);
+        bumpCounter(st_.framesIn);
 
         PendingReq p;
         p.fd = c.fd;
@@ -370,9 +351,8 @@ ZkvServer::dispatchRound()
     for (std::uint32_t s : touched_) {
         shardRes_[s].resize(shardOps_[s].size());
         store_->runShardBatch(s, shardOps_[s], shardRes_[s].data());
-        st_.batches.fetch_add(1, std::memory_order_relaxed);
-        st_.batchedOps.fetch_add(shardOps_[s].size(),
-                                 std::memory_order_relaxed);
+        bumpCounter(st_.batches);
+        bumpCounter(st_.batchedOps, shardOps_[s].size());
     }
 
     // Serialize responses back in decode order, so pipelined requests
@@ -388,9 +368,9 @@ ZkvServer::dispatchRound()
         resp.crc = p.req.crc; // CRC echo: protect iff the request did
         resp.bytes = p.req.bytes; // mode echo (protocol.hpp)
         if (p.ping) {
-            st_.pings.fetch_add(1, std::memory_order_relaxed);
+            bumpCounter(st_.pings);
         } else if (p.modeErr) {
-            st_.modeErrors.fetch_add(1, std::memory_order_relaxed);
+            bumpCounter(st_.modeErrors);
             resp.status = ErrorCode::InvalidArgument;
         } else {
             StoreBatchResult& r = shardRes_[p.shard][p.batchSlot];
@@ -408,7 +388,7 @@ ZkvServer::dispatchRound()
             resp.evictedValue = r.evictedValue;
         }
         encodeResponse(resp, c.out);
-        st_.framesOut.fetch_add(1, std::memory_order_relaxed);
+        bumpCounter(st_.framesOut);
     }
     pending_.clear();
     for (std::uint32_t s : touched_) {
@@ -422,22 +402,21 @@ ZkvServer::flushOut(Conn& c)
 {
     while (c.outSent < c.out.size()) {
         if (ZC_INJECT_FAULT("net.write")) {
-            st_.writeErrors.fetch_add(1, std::memory_order_relaxed);
+            bumpCounter(st_.writeErrors);
             closeConn(c.fd);
             return false;
         }
         ssize_t n = ::send(c.fd, c.out.data() + c.outSent,
                            c.out.size() - c.outSent, MSG_NOSIGNAL);
-        st_.sendCalls.fetch_add(1, std::memory_order_relaxed);
+        bumpCounter(st_.sendCalls);
         if (n > 0) {
             c.outSent += static_cast<std::size_t>(n);
-            st_.bytesOut.fetch_add(static_cast<std::uint64_t>(n),
-                                   std::memory_order_relaxed);
+            bumpCounter(st_.bytesOut, static_cast<std::uint64_t>(n));
             continue;
         }
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
         if (n < 0 && errno == EINTR) continue;
-        st_.writeErrors.fetch_add(1, std::memory_order_relaxed);
+        bumpCounter(st_.writeErrors);
         closeConn(c.fd);
         return false;
     }
@@ -474,7 +453,7 @@ ZkvServer::closeConn(int fd)
     (void)::epoll_ctl(epollFd_, EPOLL_CTL_DEL, fd, nullptr);
     ::close(fd);
     conns_.erase(it);
-    st_.closed.fetch_add(1, std::memory_order_relaxed);
+    bumpCounter(st_.closed);
 }
 
 void
@@ -515,15 +494,13 @@ ZkvServer::serve()
         const std::uint64_t now = obsNowNs();
         if (busy) pollUntilNs = now + kPollBudgetNs;
         const bool poll = !draining_ && now < pollUntilNs;
-        st_.rounds.fetch_add(1, std::memory_order_relaxed);
-        (poll ? st_.polls : st_.parks)
-            .fetch_add(1, std::memory_order_relaxed);
+        bumpCounter(st_.rounds);
+        bumpCounter(poll ? st_.polls : st_.parks);
         const int timeout_ms = poll ? 0 : draining_ ? 10 : 200;
         int n = ::epoll_wait(epollFd_, evs, kMaxEvents, timeout_ms);
         if (!poll) {
             // max: TSC reads on two cores may disagree by a few ticks.
-            st_.parkedNs.fetch_add(std::max(obsNowNs(), now) - now,
-                                   std::memory_order_relaxed);
+            bumpCounter(st_.parkedNs, std::max(obsNowNs(), now) - now);
         }
         busy = n > 0;
         if (n < 0) {
@@ -594,7 +571,7 @@ ZkvServer::serve()
                 if (c.out.empty() && !c.sawBytes) fds.push_back(fd);
             }
             for (int fd : fds) {
-                st_.drained.fetch_add(1, std::memory_order_relaxed);
+                bumpCounter(st_.drained);
                 closeConn(fd);
             }
             if (conns_.empty()) break;
@@ -602,8 +579,7 @@ ZkvServer::serve()
                 fds.clear();
                 for (auto& [fd, c] : conns_) fds.push_back(fd);
                 for (int fd : fds) {
-                    st_.drainAborted.fetch_add(
-                        1, std::memory_order_relaxed);
+                    bumpCounter(st_.drainAborted);
                     closeConn(fd);
                 }
                 break;
@@ -622,8 +598,7 @@ ZkvServer::serve()
     }
     if (tracer_) {
         store_->disableObs();
-        auto sum_or = tracer_->finish(
-            st_.batchedOps.load(std::memory_order_relaxed));
+        auto sum_or = tracer_->finish(st_.batchedOps);
         if (!sum_or && out.isOk()) out = sum_or.status();
     }
     return out;
@@ -633,30 +608,7 @@ ZkvServerStats
 ZkvServer::stats() const
 {
     ZkvServerStats s;
-    s.accepted = st_.accepted.load(std::memory_order_relaxed);
-    s.closed = st_.closed.load(std::memory_order_relaxed);
-    s.framesIn = st_.framesIn.load(std::memory_order_relaxed);
-    s.framesOut = st_.framesOut.load(std::memory_order_relaxed);
-    s.bytesIn = st_.bytesIn.load(std::memory_order_relaxed);
-    s.bytesOut = st_.bytesOut.load(std::memory_order_relaxed);
-    s.pings = st_.pings.load(std::memory_order_relaxed);
-    s.batches = st_.batches.load(std::memory_order_relaxed);
-    s.batchedOps = st_.batchedOps.load(std::memory_order_relaxed);
-    s.protocolErrors =
-        st_.protocolErrors.load(std::memory_order_relaxed);
-    s.modeErrors = st_.modeErrors.load(std::memory_order_relaxed);
-    s.readErrors = st_.readErrors.load(std::memory_order_relaxed);
-    s.writeErrors = st_.writeErrors.load(std::memory_order_relaxed);
-    s.acceptErrors = st_.acceptErrors.load(std::memory_order_relaxed);
-    s.rejectedConns = st_.rejectedConns.load(std::memory_order_relaxed);
-    s.drained = st_.drained.load(std::memory_order_relaxed);
-    s.drainAborted = st_.drainAborted.load(std::memory_order_relaxed);
-    s.rounds = st_.rounds.load(std::memory_order_relaxed);
-    s.polls = st_.polls.load(std::memory_order_relaxed);
-    s.parks = st_.parks.load(std::memory_order_relaxed);
-    s.parkedNs = st_.parkedNs.load(std::memory_order_relaxed);
-    s.recvCalls = st_.recvCalls.load(std::memory_order_relaxed);
-    s.sendCalls = st_.sendCalls.load(std::memory_order_relaxed);
+    loadCounters(s, kServerCounters, st_);
     return s;
 }
 
@@ -669,53 +621,7 @@ ZkvServer::registerStats(StatGroup& g)
                    [this] { return std::uint64_t{port_}; });
     srv.addCounter("connections", "currently open connections",
                    [this] { return std::uint64_t{conns_.size()}; });
-    srv.addCounter("accepted", "connections accepted",
-                   [this] { return stats().accepted; });
-    srv.addCounter("closed", "connections closed",
-                   [this] { return stats().closed; });
-    srv.addCounter("frames_in", "request frames decoded",
-                   [this] { return stats().framesIn; });
-    srv.addCounter("frames_out", "response frames encoded",
-                   [this] { return stats().framesOut; });
-    srv.addCounter("bytes_in", "payload bytes received",
-                   [this] { return stats().bytesIn; });
-    srv.addCounter("bytes_out", "payload bytes sent",
-                   [this] { return stats().bytesOut; });
-    srv.addCounter("pings", "ping frames answered",
-                   [this] { return stats().pings; });
-    srv.addCounter("batches", "shard batches dispatched",
-                   [this] { return stats().batches; });
-    srv.addCounter("batched_ops", "store ops executed via batches",
-                   [this] { return stats().batchedOps; });
-    srv.addCounter("protocol_errors", "framing errors (conn closed)",
-                   [this] { return stats().protocolErrors; });
-    srv.addCounter("mode_errors", "bytes-flag/store-mode mismatches",
-                   [this] { return stats().modeErrors; });
-    srv.addCounter("read_errors", "socket read failures",
-                   [this] { return stats().readErrors; });
-    srv.addCounter("write_errors", "socket write failures",
-                   [this] { return stats().writeErrors; });
-    srv.addCounter("accept_errors", "accept/setup failures",
-                   [this] { return stats().acceptErrors; });
-    srv.addCounter("rejected_conns", "accepts over maxConnections",
-                   [this] { return stats().rejectedConns; });
-    srv.addCounter("drained", "connections closed clean in drain",
-                   [this] { return stats().drained; });
-    srv.addCounter("drain_aborted", "connections force-closed at drain "
-                                    "deadline",
-                   [this] { return stats().drainAborted; });
-    srv.addCounter("rounds", "epoll_wait calls (polls + parks)",
-                   [this] { return stats().rounds; });
-    srv.addCounter("polls", "epoll_wait calls with a zero timeout",
-                   [this] { return stats().polls; });
-    srv.addCounter("parks", "blocking epoll_wait calls",
-                   [this] { return stats().parks; });
-    srv.addCounter("parked_ns", "time spent inside blocking epoll_wait",
-                   [this] { return stats().parkedNs; });
-    srv.addCounter("recv_calls", "recv calls, EAGAIN included",
-                   [this] { return stats().recvCalls; });
-    srv.addCounter("send_calls", "send calls, EAGAIN included",
-                   [this] { return stats().sendCalls; });
+    registerCounters(srv, kServerCounters, [this] { return stats(); });
     store_->registerStats(g);
     if (tracer_) tracer_->registerStats(g.group("obs"));
 }

@@ -66,23 +66,6 @@ class MetricsSnapshotter;
 
 namespace net {
 
-/** Server-side live-telemetry sinks (all off by default). */
-struct ZkvServerObsConfig
-{
-    std::string tracePath;   ///< Chrome trace-event JSON; "" = off
-    std::string metricsPath; ///< windowed NDJSON; "" = off
-    std::string promPath;    ///< Prometheus exposition; "" = off
-    std::uint32_t metricsIntervalMs = 100;
-    std::uint32_t ringCapacity = 1u << 16;
-
-    bool
-    anyEnabled() const
-    {
-        return !tracePath.empty() || !metricsPath.empty() ||
-               !promPath.empty();
-    }
-};
-
 struct ZkvServerConfig
 {
     /** Bind address. Tests use 127.0.0.1 with port 0 (ephemeral). */
@@ -100,7 +83,8 @@ struct ZkvServerConfig
     /** Drain budget after shutdown before force-closing stragglers. */
     std::uint32_t drainTimeoutMs = 2000;
 
-    ZkvServerObsConfig obs;
+    /** Live-telemetry sinks (docs/telemetry.md); all off by default. */
+    ObsConfig obs;
 
     Status
     validate() const
@@ -112,6 +96,7 @@ struct ZkvServerConfig
             return Status::invalidArgument(
                 "server: maxConnections must be > 0");
         }
+        if (Status s = obs.validate(); !s.isOk()) return s;
         return store.validate();
     }
 };
@@ -142,6 +127,39 @@ struct ZkvServerStats
     std::uint64_t parkedNs = 0;  ///< time spent inside blocking calls
     std::uint64_t recvCalls = 0; ///< recv(2) calls, EAGAIN included
     std::uint64_t sendCalls = 0; ///< send(2) calls, EAGAIN included
+};
+
+/** ZkvServerStats' counters, in stats-tree order. */
+inline constexpr CounterField<ZkvServerStats> kServerCounters[] = {
+    {"accepted", "connections accepted", &ZkvServerStats::accepted},
+    {"closed", "connections closed", &ZkvServerStats::closed},
+    {"frames_in", "request frames decoded", &ZkvServerStats::framesIn},
+    {"frames_out", "response frames encoded", &ZkvServerStats::framesOut},
+    {"bytes_in", "payload bytes received", &ZkvServerStats::bytesIn},
+    {"bytes_out", "payload bytes sent", &ZkvServerStats::bytesOut},
+    {"pings", "ping frames answered", &ZkvServerStats::pings},
+    {"batches", "shard batches dispatched", &ZkvServerStats::batches},
+    {"batched_ops", "store ops executed via batches",
+     &ZkvServerStats::batchedOps},
+    {"protocol_errors", "framing errors (conn closed)",
+     &ZkvServerStats::protocolErrors},
+    {"mode_errors", "bytes-flag/store-mode mismatches",
+     &ZkvServerStats::modeErrors},
+    {"read_errors", "socket read failures", &ZkvServerStats::readErrors},
+    {"write_errors", "socket write failures", &ZkvServerStats::writeErrors},
+    {"accept_errors", "accept/setup failures", &ZkvServerStats::acceptErrors},
+    {"rejected_conns", "accepts over maxConnections",
+     &ZkvServerStats::rejectedConns},
+    {"drained", "connections closed clean in drain", &ZkvServerStats::drained},
+    {"drain_aborted", "connections force-closed at drain deadline",
+     &ZkvServerStats::drainAborted},
+    {"rounds", "epoll_wait calls (polls + parks)", &ZkvServerStats::rounds},
+    {"polls", "epoll_wait calls with a zero timeout", &ZkvServerStats::polls},
+    {"parks", "blocking epoll_wait calls", &ZkvServerStats::parks},
+    {"parked_ns", "time spent inside blocking epoll_wait",
+     &ZkvServerStats::parkedNs},
+    {"recv_calls", "recv calls, EAGAIN included", &ZkvServerStats::recvCalls},
+    {"send_calls", "send calls, EAGAIN included", &ZkvServerStats::sendCalls},
 };
 
 class ZkvServer
@@ -258,23 +276,9 @@ class ZkvServer
     std::uint64_t drainDeadlineNs_ = 0;
     std::atomic<bool> shutdownReq_{false};
 
-    /** Loop-thread-written counters; stats readers use relaxed loads. */
-    struct AtomicStats
-    {
-        std::atomic<std::uint64_t> accepted{0}, closed{0};
-        std::atomic<std::uint64_t> framesIn{0}, framesOut{0};
-        std::atomic<std::uint64_t> bytesIn{0}, bytesOut{0};
-        std::atomic<std::uint64_t> pings{0};
-        std::atomic<std::uint64_t> batches{0}, batchedOps{0};
-        std::atomic<std::uint64_t> protocolErrors{0}, modeErrors{0};
-        std::atomic<std::uint64_t> readErrors{0}, writeErrors{0};
-        std::atomic<std::uint64_t> acceptErrors{0}, rejectedConns{0};
-        std::atomic<std::uint64_t> drained{0}, drainAborted{0};
-        std::atomic<std::uint64_t> rounds{0}, polls{0}, parks{0};
-        std::atomic<std::uint64_t> parkedNs{0};
-        std::atomic<std::uint64_t> recvCalls{0}, sendCalls{0};
-    };
-    AtomicStats st_;
+    /** The loop thread bumps these through bumpCounter(); stats()
+     *  loads them relaxed through kServerCounters. */
+    ZkvServerStats st_;
 
     std::unique_ptr<ObsTracer> tracer_;
     std::unique_ptr<MetricsSnapshotter> snap_;

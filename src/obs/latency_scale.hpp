@@ -20,6 +20,10 @@
 
 namespace zc {
 
+/** Bins of every latency histogram on this scale (the load generators'
+ *  per-op histograms and the metrics windows' percentiles). */
+inline constexpr std::size_t kLatencyBins = 64;
+
 /** Map an op latency to the [0,1] histogram domain: log2(1+ns)/32. */
 inline double
 latencyToUnit(double ns)

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/stats_registry.hpp"
 #include "common/status.hpp"
 
 namespace zc {
@@ -48,6 +49,73 @@ struct MetricsSample
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, double>> gauges;
     std::vector<std::uint64_t> latencyBins;
+};
+
+/** Append every @p table field of @p t to @p s as a counter named
+ *  @p prefix + its stats-tree name (common/stats_registry.hpp). */
+template <class T, std::size_t N>
+void
+appendCounters(MetricsSample& s, const CounterField<T> (&table)[N],
+               const T& t, const std::string& prefix = "")
+{
+    for (const CounterField<T>& f : table) {
+        s.counters.emplace_back(prefix + f.name, t.*f.field);
+    }
+}
+
+/** appendCounters for levels that can fall: gauges get no d_* column,
+ *  so every counter column's window deltas still sum to its value. */
+template <class T, std::size_t N>
+void
+appendGauges(MetricsSample& s, const CounterField<T> (&table)[N],
+             const T& t, const std::string& prefix = "")
+{
+    for (const CounterField<T>& f : table) {
+        s.gauges.emplace_back(prefix + f.name,
+                              static_cast<double>(t.*f.field));
+    }
+}
+
+/**
+ * Live-telemetry sinks of a run (docs/telemetry.md), shared by the
+ * load generator and the server. All off by default: the store then
+ * runs its uninstrumented op paths.
+ */
+struct ObsConfig
+{
+    /** Chrome trace-event JSON (Perfetto-loadable); empty = no trace. */
+    std::string tracePath;
+
+    /** Windowed metrics NDJSON, one record per window; empty = none. */
+    std::string metricsPath;
+
+    /** Prometheus text exposition, rewritten per window; empty = none. */
+    std::string promPath;
+
+    std::uint32_t metricsIntervalMs = 100;
+
+    /** Per-thread trace ring capacity in records. */
+    std::size_t ringCapacity = 1u << 16;
+
+    bool
+    anyEnabled() const
+    {
+        return !tracePath.empty() || !metricsPath.empty() ||
+               !promPath.empty();
+    }
+
+    Status
+    validate() const
+    {
+        if (metricsIntervalMs == 0) {
+            return Status::invalidArgument(
+                "obs: metricsIntervalMs must be > 0");
+        }
+        if (ringCapacity == 0) {
+            return Status::invalidArgument("obs: ringCapacity must be > 0");
+        }
+        return Status::ok();
+    }
 };
 
 struct MetricsSnapshotterConfig

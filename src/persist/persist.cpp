@@ -231,19 +231,9 @@ struct PersistTier::ShardState
     std::atomic<std::uint64_t> durableSeqno{0};
     std::atomic<std::uint64_t> opsSinceSnapshot{0};
 
-    std::atomic<std::uint64_t> blocked{0};
-    std::atomic<std::uint64_t> appended{0};
-    std::atomic<std::uint64_t> appendBytes{0};
-    std::atomic<std::uint64_t> fsyncs{0};
-    std::atomic<std::uint64_t> snapshots{0};
-    std::atomic<std::uint64_t> snapshotRecords{0};
-    std::atomic<std::uint64_t> appendErrors{0};
-    std::atomic<std::uint64_t> fsyncErrors{0};
-    std::atomic<std::uint64_t> snapshotErrors{0};
-    std::atomic<std::uint64_t> discardedAfterError{0};
-    std::atomic<std::uint64_t> appendNs{0};
-    std::atomic<std::uint64_t> fsyncNs{0};
-    std::atomic<std::uint64_t> snapshotNs{0};
+    /** The table counters, bumped through bumpCounter() and read by
+     *  counters(); the queue counts enqueued and dropped itself. */
+    PersistShardCounters live;
 
     std::thread writer;
 };
@@ -463,7 +453,7 @@ PersistTier::logOp(std::uint32_t shard, OpKind kind, std::uint64_t key,
         // Block: stall this producer (it holds the shard lock) until
         // the writer frees space. Timed waits are a backstop against a
         // lost notify, not the steady state.
-        st.blocked.fetch_add(1, std::memory_order_relaxed);
+        bumpCounter(st.live.blocked);
         std::unique_lock<std::mutex> lk(st.qmx);
         for (;;) {
             st.qcvData.notify_one();
@@ -566,13 +556,13 @@ PersistTier::syncShard(ShardState& st, bool* dirty)
             s = st.sink->sync(/*dataOnly=*/true);
         }
     }
-    st.fsyncNs.fetch_add(elapsedNs(t0), std::memory_order_relaxed);
+    bumpCounter(st.live.fsyncNs, elapsedNs(t0));
     if (!s.isOk()) {
-        st.fsyncErrors.fetch_add(1, std::memory_order_relaxed);
+        bumpCounter(st.live.fsyncErrors);
         setFailure(st, s);
         return s;
     }
-    st.fsyncs.fetch_add(1, std::memory_order_relaxed);
+    bumpCounter(st.live.fsyncs);
     {
         std::lock_guard<std::mutex> lk(st.dmx);
         st.durableSeqno.store(
@@ -601,8 +591,7 @@ PersistTier::writerLoop(std::uint32_t shard)
             if (st.failed.load(std::memory_order_acquire)) {
                 // Sticky failure: keep draining so blocked producers
                 // are released, but nothing pretends to be logged.
-                st.discardedAfterError.fetch_add(
-                    batch.size(), std::memory_order_relaxed);
+                bumpCounter(st.live.discardedAfterError, batch.size());
             } else {
                 buf.clear();
                 for (const OpRecord& r : batch) encodeOpRecord(buf, r);
@@ -618,17 +607,13 @@ PersistTier::writerLoop(std::uint32_t shard)
                         s = st.sink->append(buf.data(), buf.size());
                     }
                 }
-                st.appendNs.fetch_add(elapsedNs(t0),
-                                      std::memory_order_relaxed);
+                bumpCounter(st.live.appendNs, elapsedNs(t0));
                 if (!s.isOk()) {
-                    st.appendErrors.fetch_add(
-                        1, std::memory_order_relaxed);
+                    bumpCounter(st.live.appendErrors);
                     setFailure(st, std::move(s));
                 } else {
-                    st.appended.fetch_add(batch.size(),
-                                          std::memory_order_relaxed);
-                    st.appendBytes.fetch_add(
-                        buf.size(), std::memory_order_relaxed);
+                    bumpCounter(st.live.appended, batch.size());
+                    bumpCounter(st.live.appendBytes, buf.size());
                     // Queue order is seqno order, so the batch tail is
                     // the shard's append high-water mark.
                     st.appendedSeqno.store(batch.back().seqno,
@@ -717,13 +702,13 @@ PersistTier::snapshotShard(std::uint32_t shard)
     {
         std::lock_guard<std::mutex> lk(st.sinkMx);
         if (Status s = st.sink->sync(/*dataOnly=*/false); !s.isOk()) {
-            st.snapshotErrors.fetch_add(1, std::memory_order_relaxed);
+            bumpCounter(st.live.snapshotErrors);
             return s;
         }
         const std::uint64_t next = st.segment + 1;
         auto sink_or = backend_->openAppend(segmentName(shard, next));
         if (!sink_or) {
-            st.snapshotErrors.fetch_add(1, std::memory_order_relaxed);
+            bumpCounter(st.live.snapshotErrors);
             return sink_or.status();
         }
         st.sink = std::move(*sink_or);
@@ -748,14 +733,13 @@ PersistTier::snapshotShard(std::uint32_t shard)
         s = backend_->atomicWrite(snapName(shard), blob.data(),
                                   blob.size());
     }
-    st.snapshotNs.fetch_add(elapsedNs(t0), std::memory_order_relaxed);
+    bumpCounter(st.live.snapshotNs, elapsedNs(t0));
     if (!s.isOk()) {
-        st.snapshotErrors.fetch_add(1, std::memory_order_relaxed);
+        bumpCounter(st.live.snapshotErrors);
         return s;
     }
-    st.snapshots.fetch_add(1, std::memory_order_relaxed);
-    st.snapshotRecords.fetch_add(snap.entries.size(),
-                                 std::memory_order_relaxed);
+    bumpCounter(st.live.snapshots);
+    bumpCounter(st.live.snapshotRecords, snap.entries.size());
 
     // 4. Truncate the log behind: every older segment is covered.
     auto segs_or = listSegments(shard);
@@ -942,28 +926,27 @@ PersistTier::counters(std::uint32_t shard) const
 {
     const ShardState& st = *shards_[shard];
     PersistShardCounters c;
+    loadCounters(c, kPersistCounters, st.live);
+    loadCounters(c, kPersistPhaseCounters, st.live);
     c.enqueued = st.queue.pushed();
     c.dropped = st.queue.dropped();
-    c.blocked = st.blocked.load(std::memory_order_relaxed);
-    c.appended = st.appended.load(std::memory_order_relaxed);
-    c.appendBytes = st.appendBytes.load(std::memory_order_relaxed);
-    c.fsyncs = st.fsyncs.load(std::memory_order_relaxed);
-    c.snapshots = st.snapshots.load(std::memory_order_relaxed);
-    c.snapshotRecords =
-        st.snapshotRecords.load(std::memory_order_relaxed);
-    c.appendErrors = st.appendErrors.load(std::memory_order_relaxed);
-    c.fsyncErrors = st.fsyncErrors.load(std::memory_order_relaxed);
-    c.snapshotErrors =
-        st.snapshotErrors.load(std::memory_order_relaxed);
-    c.discardedAfterError =
-        st.discardedAfterError.load(std::memory_order_relaxed);
-    c.appendNs = st.appendNs.load(std::memory_order_relaxed);
-    c.fsyncNs = st.fsyncNs.load(std::memory_order_relaxed);
-    c.snapshotNs = st.snapshotNs.load(std::memory_order_relaxed);
     c.lastSeqno = st.lastSeqno.load(std::memory_order_relaxed);
     c.durableSeqno = st.durableSeqno.load(std::memory_order_relaxed);
     c.queueDepth = st.queue.size();
     return c;
+}
+
+PersistShardCounters
+PersistTier::totals() const
+{
+    PersistShardCounters t;
+    for (std::uint32_t i = 0; i < shardCount(); i++) {
+        const PersistShardCounters c = counters(i);
+        sumCounters(t, kPersistCounters, c);
+        sumCounters(t, kPersistPhaseCounters, c);
+        t.queueDepth += c.queueDepth;
+    }
+    return t;
 }
 
 void
@@ -982,60 +965,10 @@ PersistTier::registerStats(StatGroup& g) const
                "ops between compaction snapshots (0 = off)",
                JsonValue(cfg_.snapshotEveryOps));
 
-    auto add = [this, &g](const char* name, const char* desc,
-                          std::uint64_t PersistShardCounters::*m) {
-        g.addCounter(name, desc, [this, m] {
-            std::uint64_t t = 0;
-            for (std::uint32_t i = 0; i < shardCount(); i++) {
-                t += counters(i).*m;
-            }
-            return t;
-        });
-    };
-    add("enqueued", "op records accepted into persist queues",
-        &PersistShardCounters::enqueued);
-    add("dropped", "op records dropped by backpressure=drop",
-        &PersistShardCounters::dropped);
-    add("blocked", "producer stalls under backpressure=block",
-        &PersistShardCounters::blocked);
-    add("appended", "op records written to shard logs",
-        &PersistShardCounters::appended);
-    add("append_bytes", "log bytes appended",
-        &PersistShardCounters::appendBytes);
-    add("fsyncs", "log durability points",
-        &PersistShardCounters::fsyncs);
-    add("snapshots", "compaction snapshots published",
-        &PersistShardCounters::snapshots);
-    add("snapshot_records", "entries captured across snapshots",
-        &PersistShardCounters::snapshotRecords);
-    add("append_errors", "failed log appends",
-        &PersistShardCounters::appendErrors);
-    add("fsync_errors", "failed log fsyncs",
-        &PersistShardCounters::fsyncErrors);
-    add("snapshot_errors", "failed snapshot publishes",
-        &PersistShardCounters::snapshotErrors);
-    add("discarded_after_error",
-        "records drained after a sticky writer failure",
-        &PersistShardCounters::discardedAfterError);
-
-    StatGroup& ph =
-        g.group("phase", "writer-thread phase time attribution");
-    auto addPhase = [this, &ph](const char* name, const char* desc,
-                                std::uint64_t PersistShardCounters::*m) {
-        ph.addCounter(name, desc, [this, m] {
-            std::uint64_t t = 0;
-            for (std::uint32_t i = 0; i < shardCount(); i++) {
-                t += counters(i).*m;
-            }
-            return t;
-        });
-    };
-    addPhase("append_ns", "time in log append",
-             &PersistShardCounters::appendNs);
-    addPhase("fsync_ns", "time in fsync/fdatasync",
-             &PersistShardCounters::fsyncNs);
-    addPhase("snapshot_ns", "time in snapshot capture+publish",
-             &PersistShardCounters::snapshotNs);
+    auto snap = [this] { return totals(); };
+    registerCounters(g, kPersistCounters, snap);
+    registerCounters(g.group("phase", "writer-thread phase time attribution"),
+                     kPersistPhaseCounters, snap);
 }
 
 } // namespace zc::persist

@@ -116,6 +116,40 @@ struct PersistShardCounters
     std::uint64_t queueDepth = 0;
 };
 
+/** PersistShardCounters' counters, in stats-tree order. */
+inline constexpr CounterField<PersistShardCounters> kPersistCounters[] = {
+    {"enqueued", "op records accepted into persist queues",
+     &PersistShardCounters::enqueued},
+    {"dropped", "op records dropped by backpressure=drop",
+     &PersistShardCounters::dropped},
+    {"blocked", "producer stalls under backpressure=block",
+     &PersistShardCounters::blocked},
+    {"appended", "op records written to shard logs",
+     &PersistShardCounters::appended},
+    {"append_bytes", "log bytes appended",
+     &PersistShardCounters::appendBytes},
+    {"fsyncs", "log durability points", &PersistShardCounters::fsyncs},
+    {"snapshots", "compaction snapshots published",
+     &PersistShardCounters::snapshots},
+    {"snapshot_records", "entries captured across snapshots",
+     &PersistShardCounters::snapshotRecords},
+    {"append_errors", "failed log appends",
+     &PersistShardCounters::appendErrors},
+    {"fsync_errors", "failed log fsyncs", &PersistShardCounters::fsyncErrors},
+    {"snapshot_errors", "failed snapshot publishes",
+     &PersistShardCounters::snapshotErrors},
+    {"discarded_after_error", "records drained after a sticky writer failure",
+     &PersistShardCounters::discardedAfterError},
+};
+
+/** The writer-thread phase times, the stats tree's `phase` group. */
+inline constexpr CounterField<PersistShardCounters> kPersistPhaseCounters[] = {
+    {"append_ns", "time in log append", &PersistShardCounters::appendNs},
+    {"fsync_ns", "time in fsync/fdatasync", &PersistShardCounters::fsyncNs},
+    {"snapshot_ns", "time in snapshot capture+publish",
+     &PersistShardCounters::snapshotNs},
+};
+
 /** One seqno discontinuity found at recovery (drop evidence). */
 struct SeqnoGap
 {
@@ -250,6 +284,11 @@ class PersistTier
     Status snapshotNow();
 
     PersistShardCounters counters(std::uint32_t shard) const;
+
+    /** Every shard's table counters and queue depth, summed (the
+     *  per-shard seqnos stay 0). */
+    PersistShardCounters totals() const;
+
     std::uint32_t shardCount() const;
     const PersistConfig& config() const { return cfg_; }
 

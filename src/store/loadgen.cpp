@@ -31,23 +31,6 @@ using Clock = std::chrono::steady_clock;
 // percentiles on exactly the scale these end-of-run reports use.
 
 JsonValue
-threadCountersJson(const ThreadStats& t)
-{
-    JsonValue o = JsonValue::object();
-    o.set("ops", JsonValue(t.ops));
-    o.set("gets", JsonValue(t.gets));
-    o.set("get_hits", JsonValue(t.getHits));
-    o.set("puts", JsonValue(t.puts));
-    o.set("put_errors", JsonValue(t.putErrors));
-    o.set("get_errors", JsonValue(t.getErrors));
-    o.set("erases", JsonValue(t.erases));
-    o.set("erase_hits", JsonValue(t.eraseHits));
-    o.set("evictions", JsonValue(t.evictions));
-    o.set("verify_failures", JsonValue(t.verifyFailures));
-    return o;
-}
-
-JsonValue
 latencyJson(const ThreadStats& t)
 {
     JsonValue lat = JsonValue::object();
@@ -84,22 +67,11 @@ LoadGenConfig::validate() const
             "loadgen: op mix needs getFrac, eraseFrac >= 0 and "
             "getFrac + eraseFrac <= 1");
     }
-    if (latencyBins == 0) {
-        return Status::invalidArgument(
-            "loadgen: latencyBins must be > 0");
-    }
     if (openLoopRate < 0.0) {
         return Status::invalidArgument(
             "loadgen: openLoopRate must be >= 0 (0 = closed loop)");
     }
-    if (obs.anyEnabled() && obs.metricsIntervalMs == 0) {
-        return Status::invalidArgument(
-            "loadgen: obs.metricsIntervalMs must be > 0");
-    }
-    if (obs.anyEnabled() && obs.ringCapacity == 0) {
-        return Status::invalidArgument(
-            "loadgen: obs.ringCapacity must be > 0");
-    }
+    if (Status s = obs.validate(); !s.isOk()) return s;
     if (store.value.bytesMode()) {
         if (valueBytesMin < 4) {
             return Status::invalidArgument(
@@ -124,18 +96,9 @@ LoadGenConfig::validate() const
 ThreadStats
 LoadGenResult::aggregate() const
 {
-    ThreadStats agg(perThread.empty() ? 64 : perThread[0].latency.bins());
+    ThreadStats agg;
     for (const ThreadStats& t : perThread) {
-        agg.ops += t.ops;
-        agg.gets += t.gets;
-        agg.getHits += t.getHits;
-        agg.puts += t.puts;
-        agg.putErrors += t.putErrors;
-        agg.getErrors += t.getErrors;
-        agg.erases += t.erases;
-        agg.eraseHits += t.eraseHits;
-        agg.evictions += t.evictions;
-        agg.verifyFailures += t.verifyFailures;
+        sumCounters(agg, kThreadCounters, t);
         agg.seconds = std::max(agg.seconds, t.seconds);
         agg.latency.merge(t.latency);
         agg.latencyNs.merge(t.latencyNs);
@@ -190,7 +153,7 @@ runLoadGen(const LoadGenConfig& cfg)
     }
 
     LoadGenResult result;
-    result.perThread.assign(cfg.threads, ThreadStats(cfg.latencyBins));
+    result.perThread.resize(cfg.threads);
 
     // Live telemetry (docs/telemetry.md): the tracer receives one
     // compact record per op from the instrumented store paths; the
@@ -211,7 +174,7 @@ runLoadGen(const LoadGenConfig& cfg)
     // workers only when obs is on, so the snapshotter can read windowed
     // percentiles mid-run without racing the plain ThreadStats
     // histograms (which stay single-owner until join).
-    const std::size_t bins = cfg.latencyBins;
+    const std::size_t bins = kLatencyBins;
     std::vector<std::atomic<std::uint64_t>> liveBins(
         obs_on ? static_cast<std::size_t>(cfg.threads) * bins : 0);
 
@@ -254,7 +217,7 @@ runLoadGen(const LoadGenConfig& cfg)
             // Counted locally and moved into the result after the loop:
             // neighbouring ThreadStats in result.perThread share cache
             // lines, and every op writes its counters.
-            ThreadStats ts(cfg.latencyBins);
+            ThreadStats ts;
             GeneratorPtr gen = WorkloadRegistry::makeCoreGenerator(
                 *profile, tid, cfg.threads, cfg.seed);
             // Bytes mode: per-thread payload buffers, reused per op.
@@ -420,7 +383,9 @@ runLoadGen(const LoadGenConfig& cfg)
     JsonValue det = reg.toJson();
     JsonValue workers_json = JsonValue::array();
     for (const ThreadStats& t : result.perThread) {
-        workers_json.push(threadCountersJson(t));
+        JsonValue w = JsonValue::object();
+        countersJson(w, kThreadCounters, t);
+        workers_json.push(std::move(w));
     }
     det.set("workers", std::move(workers_json));
     result.storeStats = std::move(det);

@@ -42,6 +42,8 @@
 #include "common/stats.hpp"
 #include "common/status.hpp"
 #include "net/openloop.hpp"
+#include "obs/latency_scale.hpp"
+#include "obs/metrics.hpp"
 #include "store/zkv.hpp"
 
 namespace zc {
@@ -127,42 +129,6 @@ zkvVerifyPayload(std::uint64_t key, std::uint32_t threads,
     return got == scratch;
 }
 
-/**
- * Live-telemetry knobs for a load-generation run (docs/telemetry.md).
- * Default-disabled: the store runs its uninstrumented op paths and the
- * run is bit-identical to one without this struct.
- */
-struct LoadGenObsConfig
-{
-    /**
-     * Master switch: route ops through the instrumented store paths
-     * (latency attribution + contention counters). Setting any path
-     * below implies enabling; enabled with no paths = counters only.
-     */
-    bool enabled = false;
-
-    /** Chrome trace-event JSON (Perfetto-loadable); empty = no trace. */
-    std::string tracePath;
-
-    /** Windowed metrics NDJSON, one record per window; empty = none. */
-    std::string metricsPath;
-
-    /** Prometheus text exposition, rewritten per window; empty = none. */
-    std::string promPath;
-
-    std::uint32_t metricsIntervalMs = 100;
-
-    /** Per-thread trace ring capacity in records. */
-    std::size_t ringCapacity = 1 << 16;
-
-    bool
-    anyEnabled() const
-    {
-        return enabled || !tracePath.empty() || !metricsPath.empty() ||
-               !promPath.empty();
-    }
-};
-
 /** One load-generation run's shape. */
 struct LoadGenConfig
 {
@@ -189,9 +155,6 @@ struct LoadGenConfig
     std::uint32_t valueBytesMin = 16;
     std::uint32_t valueBytesMax = 64;
 
-    /** Latency histogram bins over log2(1+ns)/32 (64 ~= 0.5-bit bins). */
-    std::size_t latencyBins = 64;
-
     /**
      * Open-loop mode (net/openloop.hpp): TOTAL target ops/sec across
      * all threads; each worker issues its share at scheduled arrival
@@ -208,7 +171,10 @@ struct LoadGenConfig
      *  Poisson (memoryless clients). Ignored when openLoopRate == 0. */
     ArrivalKind arrivals = ArrivalKind::Poisson;
 
-    LoadGenObsConfig obs;
+    /** Live telemetry (docs/telemetry.md). Off by default: the store
+     *  keeps its uninstrumented op paths and the run is bit-identical
+     *  to one without telemetry. */
+    ObsConfig obs;
 
     Status validate() const;
 };
@@ -216,13 +182,6 @@ struct LoadGenConfig
 /** One worker's counters; latency fields are wall-clock derived. */
 struct ThreadStats
 {
-    /** Bin count must match LoadGenConfig::latencyBins (regression-
-     *  tested in tests/test_store.cpp with a non-default count). */
-    explicit ThreadStats(std::size_t latency_bins = 64)
-        : latency(latency_bins)
-    {
-    }
-
     std::uint64_t ops = 0;
     std::uint64_t gets = 0;
     std::uint64_t getHits = 0;
@@ -237,8 +196,23 @@ struct ThreadStats
 
     /** Nondeterministic (timing) fields. */
     double seconds = 0.0;
-    UnitHistogram latency;
+    UnitHistogram latency{kLatencyBins};
     RunningStat latencyNs;
+};
+
+/** ThreadStats' counters, in the order of each `workers` record. */
+inline constexpr CounterField<ThreadStats> kThreadCounters[] = {
+    {"ops", "operations issued", &ThreadStats::ops},
+    {"gets", "get operations", &ThreadStats::gets},
+    {"get_hits", "gets that found the key", &ThreadStats::getHits},
+    {"puts", "put operations", &ThreadStats::puts},
+    {"put_errors", "puts rejected with a Status", &ThreadStats::putErrors},
+    {"get_errors", "gets failed with a Status", &ThreadStats::getErrors},
+    {"erases", "erase operations", &ThreadStats::erases},
+    {"erase_hits", "erases that removed a key", &ThreadStats::eraseHits},
+    {"evictions", "puts that evicted a key", &ThreadStats::evictions},
+    {"verify_failures", "get hits whose payload failed its check",
+     &ThreadStats::verifyFailures},
 };
 
 struct LoadGenResult

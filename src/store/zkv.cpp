@@ -961,7 +961,9 @@ ZkvStore::compressionTotals() const
     ZkvCompressionStats t;
     for (const auto& sh : shards_) {
         std::lock_guard<ShardLock> g(sh->hot.lock);
-        t.add(sh->mirror->compressionStats());
+        const ZkvCompressionStats& c = sh->mirror->compressionStats();
+        sumCounters(t, kCompressionCounters, c);
+        sumCounters(t, kCompressionLevels, c);
     }
     return t;
 }
@@ -1049,7 +1051,9 @@ ZkvShardObs
 ZkvStore::obsTotals() const
 {
     ZkvShardObs t;
-    for (std::uint32_t i = 0; i < shards_.size(); i++) t.add(shardObs(i));
+    for (std::uint32_t i = 0; i < shards_.size(); i++) {
+        sumCounters(t, kShardObsCounters, shardObs(i));
+    }
     return t;
 }
 
@@ -1058,63 +1062,18 @@ ZkvStore::metricsSample() const
 {
     MetricsSample s;
     const ZkvShardStats t = totals();
-    const ZkvShardObs o = obsTotals();
-    s.counters = {
-        {"ops", t.gets + t.puts + t.erases},
-        {"gets", t.gets},
-        {"get_hits", t.getHits},
-        {"puts", t.puts},
-        {"put_inserts", t.putInserts},
-        {"erases", t.erases},
-        {"evictions", t.evictions},
-        {"walk_candidates", t.walkCandidates},
-        {"relocations", t.relocations},
-        {"lock_contended", o.lockContended},
-        {"lock_wait_ns", o.lockWaitNs},
-        {"net_ns", o.netNs},
-    };
+    s.counters.emplace_back("ops", t.gets + t.puts + t.erases);
+    appendCounters(s, kShardStatsCounters, t);
+    appendCounters(s, kShardObsCounters, obsTotals());
     if (bytesMode()) {
         const ZkvCompressionStats cp = compressionTotals();
-        s.counters.insert(s.counters.end(),
-                          {{"compress_calls", cp.compressCalls},
-                           {"decompress_calls", cp.decompressCalls},
-                           {"raw_bytes_total", cp.rawBytesTotal},
-                           {"stored_bytes_total", cp.storedBytesTotal}});
-        s.gauges.insert(
-            s.gauges.end(),
-            {{"resident_raw_bytes", static_cast<double>(cp.residentRawBytes)},
-             {"resident_stored_bytes",
-              static_cast<double>(cp.residentStoredBytes)}});
-    }
-    if (cfg_.readPath == ReadPath::Optimistic) {
-        s.counters.insert(s.counters.end(),
-                          {{"get_optimistic", o.getOptimistic},
-                           {"get_retried", o.getRetried},
-                           {"get_fallback", o.getFallback}});
+        appendCounters(s, kCompressionCounters, cp);
+        appendGauges(s, kCompressionLevels, cp);
     }
     if (persist_ != nullptr) {
-        persist::PersistShardCounters pc;
-        for (std::uint32_t i = 0; i < persist_->shardCount(); i++) {
-            const persist::PersistShardCounters c = persist_->counters(i);
-            pc.appended += c.appended;
-            pc.dropped += c.dropped;
-            pc.blocked += c.blocked;
-            pc.fsyncs += c.fsyncs;
-            pc.snapshots += c.snapshots;
-            pc.appendNs += c.appendNs;
-            pc.fsyncNs += c.fsyncNs;
-            pc.snapshotNs += c.snapshotNs;
-            pc.queueDepth += c.queueDepth;
-        }
-        s.counters.insert(s.counters.end(),
-                          {{"persist_appended", pc.appended},
-                           {"persist_dropped", pc.dropped},
-                           {"persist_blocked", pc.blocked},
-                           {"persist_fsyncs", pc.fsyncs},
-                           {"persist_snapshots", pc.snapshots},
-                           {"persist_append_ns", pc.appendNs},
-                           {"persist_fsync_ns", pc.fsyncNs},
-                           {"persist_snapshot_ns", pc.snapshotNs}});
+        const persist::PersistShardCounters pc = persist_->totals();
+        appendCounters(s, persist::kPersistCounters, pc, "persist_");
+        appendCounters(s, persist::kPersistPhaseCounters, pc, "persist_");
         s.gauges.emplace_back("persist_queue_depth",
                               static_cast<double>(pc.queueDepth));
     }
@@ -1244,80 +1203,11 @@ ZkvShardStats
 ZkvStore::totals() const
 {
     ZkvShardStats t;
-    for (std::uint32_t i = 0; i < shards_.size(); i++) t.add(shardStats(i));
+    for (std::uint32_t i = 0; i < shards_.size(); i++) {
+        sumCounters(t, kShardStatsCounters, shardStats(i));
+    }
     return t;
 }
-
-namespace {
-
-/** A stat bound to one uint64 field of a counter snapshot struct. */
-template <class Snapshot>
-struct FieldStat
-{
-    const char* name;
-    const char* desc;
-    std::uint64_t Snapshot::*field;
-};
-
-// One table per snapshot type serves both the store-wide totals and
-// every shard's group, so the two can never list different counters.
-using Ops = ZkvShardStats;
-using Obs = ZkvShardObs;
-using Comp = ZkvCompressionStats;
-
-constexpr FieldStat<Ops> kOpStats[] = {
-    {"gets", "get operations", &Ops::gets},
-    {"get_hits", "gets that found the key", &Ops::getHits},
-    {"puts", "put operations", &Ops::puts},
-    {"put_inserts", "puts that installed a new key", &Ops::putInserts},
-    {"put_updates", "puts that updated in place", &Ops::putUpdates},
-    {"erases", "erase operations", &Ops::erases},
-    {"erase_hits", "erases that removed a key", &Ops::eraseHits},
-    {"evictions", "resident keys displaced by inserts", &Ops::evictions},
-    {"walk_candidates", "replacement candidates examined",
-     &Ops::walkCandidates},
-    {"relocations", "walk relocations performed", &Ops::relocations},
-};
-
-constexpr FieldStat<Obs> kObsStats[] = {
-    {"get_optimistic", "gets answered without the lock", &Obs::getOptimistic},
-    {"get_retried", "seqlock validation retries", &Obs::getRetried},
-    {"get_fallback", "optimistic gets that took the lock", &Obs::getFallback},
-    {"lock_acquisitions", "instrumented shard-lock takes",
-     &Obs::lockAcquisitions},
-    {"lock_contended", "lock takes that had to wait", &Obs::lockContended},
-    {"lock_spin_iters", "pauses spent spinning for the lock",
-     &Obs::lockSpinIters},
-    {"lock_wait_ns", "summed lock-acquisition wait", &Obs::lockWaitNs},
-    {"net_ns", "summed decode->dispatch queue time (server)", &Obs::netNs},
-    {"probe_ns", "summed hash+tag probe time", &Obs::probeNs},
-    {"walk_ns", "summed relocation-walk time", &Obs::walkNs},
-    {"op_ns", "summed whole-op time", &Obs::opNs},
-};
-
-constexpr FieldStat<Comp> kCompressionStats[] = {
-    {"compress_calls", "payloads compressed (puts)", &Comp::compressCalls},
-    {"decompress_calls", "payloads decoded (get hits)", &Comp::decompressCalls},
-    {"raw_bytes_total", "pre-codec bytes, all puts", &Comp::rawBytesTotal},
-    {"stored_bytes_total", "post-codec bytes, all puts",
-     &Comp::storedBytesTotal},
-    {"resident_raw_bytes", "live entries, pre-codec", &Comp::residentRawBytes},
-    {"resident_stored_bytes", "live entries, as stored",
-     &Comp::residentStoredBytes},
-};
-
-/** Register every @p table field of the snapshot @p snap returns. */
-template <class Snapshot, std::size_t N, class Fn>
-void
-addFieldStats(StatGroup& g, const FieldStat<Snapshot> (&table)[N], Fn snap)
-{
-    for (const FieldStat<Snapshot>& f : table) {
-        g.addCounter(f.name, f.desc,
-                     [snap, m = f.field] { return snap().*m; });
-    }
-}
-
-} // namespace
 
 void
 ZkvStore::registerStats(StatGroup& g)
@@ -1336,8 +1226,8 @@ ZkvStore::registerStats(StatGroup& g)
 
     // Totals snapshot: one locked sweep per dumped counter keeps the
     // getters trivially consistent with the per-shard groups below.
-    addFieldStats(root.group("totals", "summed over all shards"), kOpStats,
-                  [this] { return totals(); });
+    registerCounters(root.group("totals", "summed over all shards"),
+                     kShardStatsCounters, [this] { return totals(); });
 
     // Latency attribution + lock contention (docs/telemetry.md). All
     // zeros while obs is disabled (the default), so the default stats
@@ -1345,7 +1235,7 @@ ZkvStore::registerStats(StatGroup& g)
     // wall-clock and belong in the nondeterministic class.
     StatGroup& obs = root.group(
         "obs", "latency attribution and lock contention (traced paths)");
-    addFieldStats(obs, kObsStats, [this] { return obsTotals(); });
+    registerCounters(obs, kShardObsCounters, [this] { return obsTotals(); });
 
     // Compressed-payload counters exist only in bytes mode, so the
     // default (fixed-u64) stats dump stays byte-identical.
@@ -1356,10 +1246,11 @@ ZkvStore::registerStats(StatGroup& g)
                       JsonValue(std::string(codecKindName(cfg_.value.codec))));
         comp.addConst("max_value_bytes", "value length cap",
                       JsonValue(std::uint64_t{cfg_.value.maxBytes}));
-        addFieldStats(comp, kCompressionStats,
-                      [this] { return compressionTotals(); });
+        auto snap = [this] { return compressionTotals(); };
+        registerCounters(comp, kCompressionCounters, snap);
+        registerCounters(comp, kCompressionLevels, snap);
         comp.addScalar("ratio", "raw/stored bytes over all puts",
-                       [this] { return compressionTotals().ratio(); });
+                       [snap] { return snap().ratio(); });
     }
 
     // Durability tier counters exist only when persistence is on, so
@@ -1373,9 +1264,10 @@ ZkvStore::registerStats(StatGroup& g)
     // counters, the same arithmetic the totals apply.
     for (std::uint32_t i = 0; i < shards_.size(); i++) {
         StatGroup& sh = root.group("shard" + std::to_string(i));
-        addFieldStats(sh, kOpStats, [this, i] { return shardStats(i); });
-        addFieldStats(sh.group("obs"), kObsStats,
-                      [this, i] { return shardObs(i); });
+        registerCounters(sh, kShardStatsCounters,
+                         [this, i] { return shardStats(i); });
+        registerCounters(sh.group("obs"), kShardObsCounters,
+                         [this, i] { return shardObs(i); });
         shards_[i]->array->registerStats(sh.group("array"));
     }
 }

@@ -316,17 +316,27 @@ struct ZkvCompressionStats
                          static_cast<double>(storedBytesTotal)
                    : 1.0;
     }
+};
 
-    void
-    add(const ZkvCompressionStats& o)
-    {
-        compressCalls += o.compressCalls;
-        decompressCalls += o.decompressCalls;
-        rawBytesTotal += o.rawBytesTotal;
-        storedBytesTotal += o.storedBytesTotal;
-        residentRawBytes += o.residentRawBytes;
-        residentStoredBytes += o.residentStoredBytes;
-    }
+/** ZkvCompressionStats' monotonic counters, in stats-tree order. */
+inline constexpr CounterField<ZkvCompressionStats> kCompressionCounters[] = {
+    {"compress_calls", "payloads compressed (puts)",
+     &ZkvCompressionStats::compressCalls},
+    {"decompress_calls", "payloads decoded (get hits)",
+     &ZkvCompressionStats::decompressCalls},
+    {"raw_bytes_total", "pre-codec bytes, all puts",
+     &ZkvCompressionStats::rawBytesTotal},
+    {"stored_bytes_total", "post-codec bytes, all puts",
+     &ZkvCompressionStats::storedBytesTotal},
+};
+
+/** ZkvCompressionStats' resident levels, which fall on evictions and
+ *  erases: registered after the counters, windowed as gauges. */
+inline constexpr CounterField<ZkvCompressionStats> kCompressionLevels[] = {
+    {"resident_raw_bytes", "live entries, pre-codec",
+     &ZkvCompressionStats::residentRawBytes},
+    {"resident_stored_bytes", "live entries, as stored",
+     &ZkvCompressionStats::residentStoredBytes},
 };
 
 /** Per-shard operation counters (also used for store-wide totals). */
@@ -342,21 +352,24 @@ struct ZkvShardStats
     std::uint64_t evictions = 0;
     std::uint64_t walkCandidates = 0;
     std::uint64_t relocations = 0;
+};
 
-    void
-    add(const ZkvShardStats& o)
-    {
-        gets += o.gets;
-        getHits += o.getHits;
-        puts += o.puts;
-        putInserts += o.putInserts;
-        putUpdates += o.putUpdates;
-        erases += o.erases;
-        eraseHits += o.eraseHits;
-        evictions += o.evictions;
-        walkCandidates += o.walkCandidates;
-        relocations += o.relocations;
-    }
+/** ZkvShardStats' counters, in stats-tree order. */
+inline constexpr CounterField<ZkvShardStats> kShardStatsCounters[] = {
+    {"gets", "get operations", &ZkvShardStats::gets},
+    {"get_hits", "gets that found the key", &ZkvShardStats::getHits},
+    {"puts", "put operations", &ZkvShardStats::puts},
+    {"put_inserts", "puts that installed a new key",
+     &ZkvShardStats::putInserts},
+    {"put_updates", "puts that updated in place", &ZkvShardStats::putUpdates},
+    {"erases", "erase operations", &ZkvShardStats::erases},
+    {"erase_hits", "erases that removed a key", &ZkvShardStats::eraseHits},
+    {"evictions", "resident keys displaced by inserts",
+     &ZkvShardStats::evictions},
+    {"walk_candidates", "replacement candidates examined",
+     &ZkvShardStats::walkCandidates},
+    {"relocations", "walk relocations performed",
+     &ZkvShardStats::relocations},
 };
 
 /**
@@ -389,22 +402,27 @@ struct ZkvShardObs
     std::uint64_t getOptimistic = 0; ///< gets answered without the lock
     std::uint64_t getRetried = 0;    ///< seq-validation retry attempts
     std::uint64_t getFallback = 0;   ///< gets that fell back to the lock
+};
 
-    void
-    add(const ZkvShardObs& o)
-    {
-        lockAcquisitions += o.lockAcquisitions;
-        lockContended += o.lockContended;
-        lockSpinIters += o.lockSpinIters;
-        lockWaitNs += o.lockWaitNs;
-        netNs += o.netNs;
-        probeNs += o.probeNs;
-        walkNs += o.walkNs;
-        opNs += o.opNs;
-        getOptimistic += o.getOptimistic;
-        getRetried += o.getRetried;
-        getFallback += o.getFallback;
-    }
+/** ZkvShardObs' counters, in stats-tree order. */
+inline constexpr CounterField<ZkvShardObs> kShardObsCounters[] = {
+    {"get_optimistic", "gets answered without the lock",
+     &ZkvShardObs::getOptimistic},
+    {"get_retried", "seqlock validation retries", &ZkvShardObs::getRetried},
+    {"get_fallback", "optimistic gets that took the lock",
+     &ZkvShardObs::getFallback},
+    {"lock_acquisitions", "instrumented shard-lock takes",
+     &ZkvShardObs::lockAcquisitions},
+    {"lock_contended", "lock takes that had to wait",
+     &ZkvShardObs::lockContended},
+    {"lock_spin_iters", "pauses spent spinning for the lock",
+     &ZkvShardObs::lockSpinIters},
+    {"lock_wait_ns", "summed lock-acquisition wait", &ZkvShardObs::lockWaitNs},
+    {"net_ns", "summed decode->dispatch queue time (server)",
+     &ZkvShardObs::netNs},
+    {"probe_ns", "summed hash+tag probe time", &ZkvShardObs::probeNs},
+    {"walk_ns", "summed relocation-walk time", &ZkvShardObs::walkNs},
+    {"op_ns", "summed whole-op time", &ZkvShardObs::opNs},
 };
 
 /**
@@ -694,14 +712,13 @@ class ZkvStore
 
     /**
      * The store's part of one metrics window (obs/metrics.hpp), the
-     * same for every producer: cumulative counters (op totals, walk
-     * candidates, relocations, lock contention and the attribution
-     * sums), plus the compression, optimistic-read and persist groups
-     * when those modes are on. Levels that can fall (resident bytes,
-     * persist queue depth) are gauges, so every counter's window
-     * deltas sum to its final value. Producers append their own
-     * series: the server its net_* counters, the load generator its
-     * latency bins.
+     * same for every producer: `ops` and every counter of the stats
+     * tree's totals, obs and compression groups under its stats-tree
+     * name, and the persist group's as `persist_<name>`, each from its
+     * counter table. Levels that can fall (resident bytes, persist
+     * queue depth) are gauges, so every counter's window deltas sum to
+     * its final value. Producers append their own series: the server
+     * its net_* counters, the load generator its latency bins.
      */
     MetricsSample metricsSample() const;
 

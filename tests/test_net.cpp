@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -38,6 +37,7 @@
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "store/zkv.hpp"
+#include "window_check.hpp"
 
 namespace zc::net {
 namespace {
@@ -434,6 +434,25 @@ TEST(NetServer, EphemeralPortResolves)
 {
     ServerFixture f;
     EXPECT_GT(f.server().port(), 0);
+}
+
+// The server validates its telemetry config like the load generator: a
+// zero metrics interval would write windows in a busy loop.
+TEST(NetServer, CreateRejectsInvalidObsConfig)
+{
+    ZkvServerConfig cfg;
+    cfg.store = tinyStore();
+    cfg.obs.metricsPath = ::testing::TempDir() + "zc_net_invalid.ndjson";
+    cfg.obs.metricsIntervalMs = 0;
+    auto zero_interval = ZkvServer::create(cfg);
+    ASSERT_FALSE(zero_interval.hasValue());
+    EXPECT_EQ(zero_interval.status().code(), ErrorCode::InvalidArgument);
+
+    cfg.obs = ObsConfig{};
+    cfg.obs.ringCapacity = 0;
+    auto zero_ring = ZkvServer::create(cfg);
+    ASSERT_FALSE(zero_ring.hasValue());
+    EXPECT_EQ(zero_ring.status().code(), ErrorCode::InvalidArgument);
 }
 
 TEST(NetServer, PingAndBasicOps)
@@ -886,7 +905,7 @@ TEST(NetClient, ManyResponsesPerRecvAndASplitLastFrame)
 
 // The server samples the same store counters as the load generator
 // (ZkvStore::metricsSample) and appends its net_* series: a durable
-// server exports the walk, lock and persist groups, and the windows
+// server windows every counter its stats tree reports, and the windows
 // partition the run — every d_* column sums to its final value.
 TEST(NetServer, DurableMetricsCarryStoreCountersAndReconcile)
 {
@@ -919,6 +938,10 @@ TEST(NetServer, DurableMetricsCarryStoreCountersAndReconcile)
                 !(*cl)->get((i * 7) % 300).hasValue()) {
                 return false;
             }
+            if (i % 10 == 0 && (!(*cl)->erase((i * 3) % 300).hasValue() ||
+                                !(*cl)->ping().isOk())) {
+                return false;
+            }
         }
         return true;
     };
@@ -938,30 +961,15 @@ TEST(NetServer, DurableMetricsCarryStoreCountersAndReconcile)
         ASSERT_TRUE(rec.has_value()) << line;
         windows.push_back(std::move(*rec));
     }
-    ASSERT_FALSE(windows.empty());
+    StatsRegistry reg;
+    srv->registerStats(reg.root());
+    expectEveryCounterWindowed(reg.toJson(), windows);
     const JsonValue& last = windows.back();
-    for (const char* name :
-         {"persist_appended", "walk_candidates", "lock_contended",
-          "net_frames_in", "net_rounds", "net_polls", "net_parks",
-          "net_parked_ns", "net_recv_calls", "net_send_calls"}) {
-        ASSERT_NE(last.find(name), nullptr) << name;
-    }
-    EXPECT_EQ(last.find("ops")->asU64(), 6000u);
+    EXPECT_EQ(last.find("ops")->asU64(), 6300u);
     EXPECT_GT(last.find("walk_candidates")->asU64(), 0u);
+    EXPECT_GT(last.find("erase_hits")->asU64(), 0u);
     EXPECT_GT(last.find("persist_appended")->asU64(), 0u);
-
-    std::map<std::string, std::uint64_t> sums;
-    for (const JsonValue& w : windows) {
-        for (const auto& [key, v] : w.obj()) {
-            if (key.rfind("d_", 0) == 0) sums[key.substr(2)] += v.asU64();
-        }
-    }
-    EXPECT_FALSE(sums.empty());
-    for (const auto& [name, sum] : sums) {
-        const JsonValue* final_value = last.find(name);
-        ASSERT_NE(final_value, nullptr) << name;
-        EXPECT_EQ(sum, final_value->asU64()) << name;
-    }
+    EXPECT_EQ(last.find("net_pings")->asU64(), 300u);
 
     srv.reset();
     fs::remove_all(base);

@@ -32,6 +32,7 @@
 #include "obs/tracer.hpp"
 #include "store/loadgen.hpp"
 #include "store/zkv.hpp"
+#include "window_check.hpp"
 
 namespace zc {
 namespace {
@@ -615,6 +616,42 @@ TEST(ZkvObsLoadGen, ObsRunReconcilesAndWindowsSum)
     std::remove(nd.c_str());
 }
 
+/** A metrics-on load run over @p store windows every counter of its
+ *  stats tree, and the windows reconcile (tests/window_check.hpp). */
+void
+expectLoadGenWindowsEveryCounter(const ZkvConfig& store,
+                                 const std::string& leaf)
+{
+    const std::string nd = tmpPath(leaf);
+    LoadGenConfig cfg;
+    cfg.store = store;
+    cfg.threads = 2;
+    cfg.opsPerThread = 4000;
+    cfg.workload = "canneal";
+    cfg.obs.metricsPath = nd;
+    cfg.obs.metricsIntervalMs = 5;
+
+    auto r = runLoadGen(cfg);
+    ASSERT_TRUE(r.hasValue()) << r.status().str();
+    expectEveryCounterWindowed(r->storeStats, parseNdjson(nd));
+    std::remove(nd.c_str());
+}
+
+TEST(ZkvObsLoadGen, BytesModeWindowsCarryEveryStatsTreeCounter)
+{
+    ZkvConfig store = storeConfig();
+    store.value.maxBytes = 64;
+    store.value.codec = CodecKind::Bdi;
+    expectLoadGenWindowsEveryCounter(store, "lg_bytes.ndjson");
+}
+
+TEST(ZkvObsLoadGen, OptimisticWindowsCarryEveryStatsTreeCounter)
+{
+    ZkvConfig store = storeConfig();
+    store.readPath = ReadPath::Optimistic;
+    expectLoadGenWindowsEveryCounter(store, "lg_optimistic.ndjson");
+}
+
 TEST(ZkvObsLoadGen, DefaultRunStaysUninstrumented)
 {
     LoadGenConfig cfg;
@@ -635,7 +672,7 @@ TEST(ZkvObsLoadGen, InvalidObsConfigRejected)
 {
     LoadGenConfig cfg;
     cfg.store = storeConfig();
-    cfg.obs.enabled = true;
+    cfg.obs.metricsPath = tmpPath("invalid.ndjson");
     cfg.obs.metricsIntervalMs = 0;
     auto r = runLoadGen(cfg);
     ASSERT_FALSE(r.hasValue());

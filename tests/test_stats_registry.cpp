@@ -18,6 +18,7 @@
 #include "cache/z_array.hpp"
 #include "common/json.hpp"
 #include "common/stats_registry.hpp"
+#include "obs/metrics.hpp"
 #include "replacement/bucketed_lru.hpp"
 #include "sim/experiment.hpp"
 
@@ -203,6 +204,51 @@ TEST(StatsRegistry, WriteJsonFileRoundTrips)
     auto parsed = JsonValue::parse(text);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->find("answer")->asU64(), 42u);
+}
+
+struct TwoCounters
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+};
+
+constexpr CounterField<TwoCounters> kTwoCounters[] = {
+    {"hits", "lookups that hit", &TwoCounters::hits},
+    {"misses", "lookups that missed", &TwoCounters::misses},
+};
+
+TEST(StatsRegistry, CounterTableFeedsEveryExport)
+{
+    TwoCounters live;
+    bumpCounter(live.hits, 3);
+    bumpCounter(live.misses);
+    TwoCounters snap;
+    loadCounters(snap, kTwoCounters, live);
+    TwoCounters sum;
+    sumCounters(sum, kTwoCounters, snap);
+    sumCounters(sum, kTwoCounters, snap);
+    EXPECT_EQ(sum.hits, 6u);
+    EXPECT_EQ(sum.misses, 2u);
+
+    StatsRegistry reg;
+    registerCounters(reg.root(), kTwoCounters, [&sum] { return sum; });
+    sum.hits++; // bound: read at dump time
+    EXPECT_EQ(reg.toJson().str(), "{\"hits\":7,\"misses\":2}");
+    EXPECT_EQ(reg.schema().find("misses")->asString(), "lookups that missed");
+
+    JsonValue j = JsonValue::object();
+    countersJson(j, kTwoCounters, sum);
+    EXPECT_EQ(j.str(), reg.toJson().str());
+
+    MetricsSample m;
+    appendCounters(m, kTwoCounters, sum, "l2_");
+    appendGauges(m, kTwoCounters, snap);
+    ASSERT_EQ(m.counters.size(), 2u);
+    EXPECT_EQ(m.counters[1].first, "l2_misses");
+    EXPECT_EQ(m.counters[1].second, 2u);
+    ASSERT_EQ(m.gauges.size(), 2u);
+    EXPECT_EQ(m.gauges[0].first, "hits");
+    EXPECT_EQ(m.gauges[0].second, 3.0);
 }
 
 // ---------------------------------------------------------------------
