@@ -113,6 +113,46 @@ flagF64(int argc, char** argv, const std::string& key, double fallback)
     return v.empty() ? fallback : parseF64(v, "--" + key);
 }
 
+/**
+ * A --value-bytes distribution, "fixed:N", "uniform:LO:HI" or a bare
+ * "N" (= fixed:N), as its inclusive {LO, HI}; or exit 2 (usage error)
+ * unless 4 <= LO <= HI <= @p cap: a payload holds at least its 4-byte
+ * writer-tid prefix and at most the store's value cap (the load
+ * generators pass kZkvMaxValueBytes).
+ */
+inline std::pair<std::uint32_t, std::uint32_t>
+parseValueBytes(const std::string& spec, std::uint32_t cap)
+{
+    std::string body = spec;
+    bool uniform = false;
+    if (spec.rfind("fixed:", 0) == 0) {
+        body = spec.substr(6);
+    } else if (spec.rfind("uniform:", 0) == 0) {
+        body = spec.substr(8);
+        uniform = true;
+    }
+    const std::size_t colon = uniform ? body.find(':') : body.size();
+    if (colon == std::string::npos) {
+        std::fprintf(stderr,
+                     "error: bad --value-bytes '%s' (valid: fixed:N, "
+                     "uniform:LO:HI, N)\n",
+                     spec.c_str());
+        std::exit(2);
+    }
+    const std::uint64_t lo = parseU64(body.substr(0, colon), "--value-bytes");
+    const std::uint64_t hi =
+        uniform ? parseU64(body.substr(colon + 1), "--value-bytes") : lo;
+    if (lo < 4 || hi < lo || hi > cap) {
+        std::fprintf(stderr,
+                     "error: --value-bytes range [%llu, %llu] must satisfy "
+                     "4 <= LO <= HI <= %u\n",
+                     static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi), cap);
+        std::exit(2);
+    }
+    return {static_cast<std::uint32_t>(lo), static_cast<std::uint32_t>(hi)};
+}
+
 inline bool
 flagBool(int argc, char** argv, const std::string& key)
 {

@@ -91,6 +91,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -703,37 +704,8 @@ main(int argc, char** argv)
             return 2;
         }
         base.bytesMode = true;
-        std::string body = value_bytes;
-        if (body.rfind("fixed:", 0) == 0) {
-            body = body.substr(6);
-        }
-        std::uint64_t lo = 0, hi = 0;
-        if (body.rfind("uniform:", 0) == 0) {
-            std::string rest = body.substr(8);
-            std::size_t colon = rest.find(':');
-            if (colon == std::string::npos) {
-                std::fprintf(stderr,
-                             "error: bad --value-bytes '%s' (valid: "
-                             "fixed:N, uniform:LO:HI, N)\n",
-                             value_bytes.c_str());
-                return 2;
-            }
-            lo = parseU64(rest.substr(0, colon), "--value-bytes");
-            hi = parseU64(rest.substr(colon + 1), "--value-bytes");
-        } else {
-            lo = hi = parseU64(body, "--value-bytes");
-        }
-        if (lo < 4 || hi < lo || hi > net::kMaxValueBytes) {
-            std::fprintf(stderr,
-                         "error: --value-bytes range [%llu, %llu] must "
-                         "satisfy 4 <= LO <= HI <= %zu\n",
-                         static_cast<unsigned long long>(lo),
-                         static_cast<unsigned long long>(hi),
-                         net::kMaxValueBytes);
-            return 2;
-        }
-        base.vbMin = static_cast<std::uint32_t>(lo);
-        base.vbMax = static_cast<std::uint32_t>(hi);
+        std::tie(base.vbMin, base.vbMax) =
+            parseValueBytes(value_bytes, kZkvMaxValueBytes);
     }
 
     auto kind_or =

@@ -53,15 +53,10 @@
  *                        whose scaling the CI gate asserts); other
  *                        grid axes are clamped to their first value.
  *
- * Open-loop mode (net/openloop.hpp, docs/server.md):
- *   --open-loop --rate=N  issue ops at scheduled arrival times (N
- *                         TOTAL ops/sec across threads) and measure
- *                         latency from the INTENDED arrival — the
- *                         coordinated-omission-safe measurement
- *                         bench/net_loadgen.cpp makes over the wire,
- *                         here without the network. --rate=N alone
- *                         implies --open-loop.
- *   --arrivals=poisson    arrival process: poisson | fixed
+ * There is no open-loop mode: --open-loop, --rate and --arrivals exit
+ * 2. A worker that waits for each scheduled arrival wakes tens of µs
+ * late, far longer than a store op, so its latencies would time the
+ * wait. bench/net_loadgen.cpp is the open-loop tool (docs/server.md).
  *
  * Durability (docs/durability.md; default off, zero overhead):
  *   --data-dir=<path>        enable the persist tier rooted here; the
@@ -108,11 +103,13 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "store/loadgen.hpp"
+#include "store/zkv.hpp"
 #include "trace/workloads.hpp"
 
 namespace {
@@ -169,41 +166,6 @@ struct Point
 };
 
 /**
- * Parse a --value-bytes distribution: "fixed:N", "uniform:LO:HI", or a
- * bare "N" (= fixed:N). Returns {lo, hi} (inclusive).
- */
-Expected<std::pair<std::uint32_t, std::uint32_t>>
-parseValueBytesDist(const std::string& spec)
-{
-    auto bad = [&] {
-        return Status::invalidArgument(
-            "store_loadgen: bad --value-bytes '" + spec +
-            "' (valid: fixed:N, uniform:LO:HI, N)");
-    };
-    std::string body = spec;
-    bool uniform = false;
-    if (spec.rfind("fixed:", 0) == 0) {
-        body = spec.substr(6);
-    } else if (spec.rfind("uniform:", 0) == 0) {
-        body = spec.substr(8);
-        uniform = true;
-    }
-    std::size_t colon = uniform ? body.find(':') : body.size();
-    if (colon == std::string::npos) return bad();
-    const std::uint64_t lo = parseU64(body.substr(0, colon), "--value-bytes");
-    const std::uint64_t hi =
-        uniform ? parseU64(body.substr(colon + 1), "--value-bytes") : lo;
-    if (lo < 4 || hi < lo || hi > kZkvMaxValueBytes) {
-        return Status::invalidArgument(
-            "store_loadgen: --value-bytes range [" + std::to_string(lo) +
-            ", " + std::to_string(hi) + "] must satisfy 4 <= LO <= HI <= " +
-            std::to_string(kZkvMaxValueBytes));
-    }
-    return std::pair<std::uint32_t, std::uint32_t>{
-        static_cast<std::uint32_t>(lo), static_cast<std::uint32_t>(hi)};
-}
-
-/**
  * Per-point output path: the base path for a single-point grid,
  * "<stem>.pointN<ext>" otherwise, so concurrent or sequential points
  * never clobber one another's telemetry files.
@@ -228,6 +190,18 @@ pointPath(const std::string& base, std::size_t index,
 int
 main(int argc, char** argv)
 {
+    // The flag parser ignores unknown flags, so the removed open-loop
+    // flags would silently run closed-loop: refuse them instead.
+    for (const char* gone : {"open-loop", "rate", "arrivals"}) {
+        if (flagBool(argc, argv, gone) || !flag(argc, argv, gone, "").empty()) {
+            std::fprintf(stderr,
+                         "error: --%s: store_loadgen has no open-loop mode "
+                         "(a sleeping wait for each arrival times its own "
+                         "wake-up, not the store); use net_loadgen\n",
+                         gone);
+            return 2;
+        }
+    }
     auto threads_list =
         parseU64List(flag(argc, argv, "threads", "1"), "--threads");
     auto shards_list =
@@ -258,9 +232,6 @@ main(int argc, char** argv)
     std::string lock_name = flag(argc, argv, "lock", "mutex");
     std::string workload = flag(argc, argv, "workload", "canneal");
     std::uint64_t seed = flagU64(argc, argv, "seed", 1);
-    bool open_loop = flagBool(argc, argv, "open-loop");
-    double open_rate = flagF64(argc, argv, "rate", 0.0);
-    std::string arrivals_name = flag(argc, argv, "arrivals", "poisson");
     std::string trace_out = flag(argc, argv, "trace-out", "");
     std::string metrics_out = flag(argc, argv, "metrics-out", "");
     std::string prom_out = flag(argc, argv, "prom-out", "");
@@ -284,14 +255,8 @@ main(int argc, char** argv)
     CodecKind codec = CodecKind::None;
     const bool bytes_mode = !value_bytes_spec.empty();
     if (bytes_mode) {
-        auto dist = parseValueBytesDist(value_bytes_spec);
-        if (!dist) {
-            std::fprintf(stderr, "error: %s\n",
-                         dist.status().str().c_str());
-            return 2;
-        }
-        vb_min = dist->first;
-        vb_max = dist->second;
+        std::tie(vb_min, vb_max) =
+            parseValueBytes(value_bytes_spec, kZkvMaxValueBytes);
         auto ck = parseCodecKind(codec_name);
         if (!ck) {
             std::fprintf(stderr, "error: %s\n",
@@ -345,17 +310,6 @@ main(int argc, char** argv)
     if (WorkloadRegistry::find(workload) == nullptr) {
         std::fprintf(stderr, "error: unknown --workload '%s'\n",
                      workload.c_str());
-        return 2;
-    }
-    if (open_loop && open_rate <= 0.0) {
-        std::fprintf(stderr,
-                     "error: --open-loop needs --rate=N (ops/sec)\n");
-        return 2;
-    }
-    auto arrivals = parseArrivalKind(arrivals_name);
-    if (!arrivals) {
-        std::fprintf(stderr, "error: %s\n",
-                     arrivals.status().str().c_str());
         return 2;
     }
 
@@ -431,8 +385,6 @@ main(int argc, char** argv)
                         p.cfg.getFrac = get_frac;
                         p.cfg.eraseFrac = erase_frac;
                         p.cfg.workload = workload;
-                        p.cfg.openLoopRate = open_rate;
-                        p.cfg.arrivals = *arrivals;
                         p.cfg.seed = SweepSpec::pointSeed(
                             seed ^ 0x6c67ULL, grid.size());
                         p.cfg.obs = obs_cfg;
@@ -563,10 +515,6 @@ main(int argc, char** argv)
                  JsonValue(std::string(
                      readPathName(p.cfg.store.readPath)))},
                 {"ops_per_thread", JsonValue(p.cfg.opsPerThread)},
-                {"open_loop_rate", JsonValue(p.cfg.openLoopRate)},
-                {"arrivals",
-                 JsonValue(std::string(
-                     arrivalKindName(p.cfg.arrivals)))},
                 {"timing", timing},
                 {"compression", std::move(compj)},
                 {"obs", std::move(obs)},

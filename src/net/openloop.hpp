@@ -22,9 +22,9 @@
  *             (a memoryless open-loop client population, the standard
  *             model for independent users).
  *
- * Shared by the over-the-wire generator (bench/net_loadgen.cpp) and
- * the in-process store loadgen's --open-loop mode
- * (bench/store_loadgen.cpp), so the two measure identical workloads.
+ * Used by the over-the-wire generator (bench/net_loadgen.cpp). The
+ * in-process store loadgen has no open-loop mode: a wait for each
+ * arrival wakes tens of µs late, far longer than a store op.
  */
 
 #pragma once

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/log.hpp"
 #include "common/stats_registry.hpp"
 #include "obs/latency_scale.hpp"
 #include "obs/trace_event.hpp"
@@ -41,10 +42,11 @@ MetricsSnapshotter::start()
     if (started_) return;
     started_ = true;
     // Truncate a stale NDJSON file so re-running into the same path
-    // never interleaves two runs' windows.
+    // never interleaves two runs' windows; the stream stays open until
+    // stop().
     if (!cfg_.ndjsonPath.empty()) {
-        std::ofstream trunc(cfg_.ndjsonPath, std::ios::trunc);
-        if (!trunc) ioFailed_ = true;
+        ndjson_.open(cfg_.ndjsonPath, std::ios::trunc);
+        if (!ndjson_) ioFailed_ = true;
     }
     startNs_ = obsNowNs();
     prevNs_ = startNs_;
@@ -62,6 +64,7 @@ MetricsSnapshotter::stop()
     // Final window: the system has quiesced, so this sample is the
     // end-of-run total and the emitted deltas partition the whole run.
     emitWindow(sample_(), obsNowNs());
+    ndjson_.close();
     if (ioFailed_) {
         return Status::ioError("metrics snapshotter: write failed ('" +
                                cfg_.ndjsonPath + "' / '" + cfg_.promPath +
@@ -88,31 +91,33 @@ MetricsSnapshotter::emitWindow(const MetricsSample& cur,
     const double window_s =
         static_cast<double>(now_ns - prevNs_) / 1e9;
 
+    // Column names are unique across the sample (tests/window_check.hpp
+    // checks it), so every column is appended, never looked up.
     JsonValue rec = JsonValue::object();
-    rec.set("seq", JsonValue(windows_.load(std::memory_order_relaxed)));
-    rec.set("t_ms",
-            JsonValue(static_cast<double>(now_ns - startNs_) / 1e6));
-    rec.set("window_ms", JsonValue(window_s * 1e3));
+    JsonValue::Object& cols = rec.obj();
+    cols.reserve(6 + 3 * cur.counters.size() + cur.gauges.size());
+    cols.emplace_back("seq",
+                      JsonValue(windows_.load(std::memory_order_relaxed)));
+    cols.emplace_back(
+        "t_ms", JsonValue(static_cast<double>(now_ns - startNs_) / 1e6));
+    cols.emplace_back("window_ms", JsonValue(window_s * 1e3));
 
-    // Cumulative counters, window deltas, and rates. The previous
-    // sample may predate a counter's first appearance (e.g. a thread
-    // registering late); missing-in-prev means delta-from-zero.
+    // Cumulative counters, window deltas, and rates. Every sample has
+    // the same counters in the same order (SampleFn), so a counter's
+    // previous value is at its own position.
+    zc_assert(prev_.counters.size() == cur.counters.size());
     std::uint64_t dGets = 0, dGetHits = 0;
     bool haveGets = false, haveGetHits = false;
-    for (const auto& [name, val] : cur.counters) {
-        std::uint64_t before = 0;
-        for (const auto& [pname, pval] : prev_.counters) {
-            if (pname == name) {
-                before = pval;
-                break;
-            }
-        }
+    for (std::size_t k = 0; k < cur.counters.size(); k++) {
+        const auto& [name, val] = cur.counters[k];
+        zc_assert(prev_.counters[k].first == name);
+        const std::uint64_t before = prev_.counters[k].second;
         const std::uint64_t d = val >= before ? val - before : 0;
-        rec.set(name, JsonValue(val));
-        rec.set("d_" + name, JsonValue(d));
+        cols.emplace_back(name, JsonValue(val));
+        cols.emplace_back("d_" + name, JsonValue(d));
         if (window_s > 0.0) {
-            rec.set(name + "_per_sec",
-                    JsonValue(static_cast<double>(d) / window_s));
+            cols.emplace_back(name + "_per_sec",
+                              JsonValue(static_cast<double>(d) / window_s));
         }
         if (name == "gets") {
             dGets = d;
@@ -123,11 +128,12 @@ MetricsSnapshotter::emitWindow(const MetricsSample& cur,
         }
     }
     if (haveGets && haveGetHits && dGets > 0) {
-        rec.set("hit_rate", JsonValue(static_cast<double>(dGetHits) /
-                                      static_cast<double>(dGets)));
+        cols.emplace_back("hit_rate",
+                          JsonValue(static_cast<double>(dGetHits) /
+                                    static_cast<double>(dGets)));
     }
     for (const auto& [name, val] : cur.gauges) {
-        rec.set(name, JsonValue(val));
+        cols.emplace_back(name, JsonValue(val));
     }
 
     // Windowed latency percentiles from the cumulative bin deltas.
@@ -139,16 +145,19 @@ MetricsSnapshotter::emitWindow(const MetricsSample& cur,
                            ? cur.latencyBins[i] - prev_.latencyBins[i]
                            : 0;
         }
-        rec.set("p50_ns", JsonValue(binsQuantileNs(delta, 0.50)));
-        rec.set("p99_ns", JsonValue(binsQuantileNs(delta, 0.99)));
+        cols.emplace_back("p50_ns", JsonValue(binsQuantileNs(delta, 0.50)));
+        cols.emplace_back("p99_ns", JsonValue(binsQuantileNs(delta, 0.99)));
     } else if (!cur.latencyBins.empty()) {
-        rec.set("p50_ns", JsonValue(binsQuantileNs(cur.latencyBins, 0.50)));
-        rec.set("p99_ns", JsonValue(binsQuantileNs(cur.latencyBins, 0.99)));
+        cols.emplace_back("p50_ns",
+                          JsonValue(binsQuantileNs(cur.latencyBins, 0.50)));
+        cols.emplace_back("p99_ns",
+                          JsonValue(binsQuantileNs(cur.latencyBins, 0.99)));
     }
 
-    if (!cfg_.ndjsonPath.empty() &&
-        !appendJsonl(cfg_.ndjsonPath, rec)) {
-        ioFailed_ = true;
+    if (ndjson_.is_open()) {
+        ndjson_ << rec.str() << '\n';
+        ndjson_.flush();
+        if (!ndjson_) ioFailed_ = true;
     }
     writeProm(cur, rec);
 

@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
@@ -143,6 +144,8 @@ struct MetricsSnapshotterConfig
 class MetricsSnapshotter
 {
   public:
+    /** Every sample must carry the same counters in the same order;
+     *  each window reads a counter's previous value by position. */
     using SampleFn = std::function<MetricsSample()>;
 
     MetricsSnapshotter(MetricsSnapshotterConfig cfg, SampleFn sample);
@@ -172,6 +175,7 @@ class MetricsSnapshotter
     SampleFn sample_;
 
     MetricsSample prev_;
+    std::ofstream ndjson_; ///< open from start() to stop()
     std::uint64_t startNs_ = 0;
     std::uint64_t prevNs_ = 0;
 

@@ -84,10 +84,10 @@ paramsJson(const RunParams& p)
 }
 
 JsonValue
-entryToJson(const SweepJournal::Entry& e)
+entryToJson(std::size_t index, const RunOutcome& e)
 {
     JsonValue o = JsonValue::object();
-    o.set("index", JsonValue(static_cast<std::uint64_t>(e.index)));
+    o.set("index", JsonValue(static_cast<std::uint64_t>(index)));
     o.set("ok", JsonValue(e.ok));
     o.set("attempts", JsonValue(e.attempts));
     o.set("timed_out", JsonValue(e.timedOut));
@@ -96,7 +96,7 @@ entryToJson(const SweepJournal::Entry& e)
     return o;
 }
 
-Expected<SweepJournal::Entry>
+Expected<RunOutcome>
 entryFromJson(const JsonValue& v)
 {
     auto bad = [](const char* what) {
@@ -107,7 +107,7 @@ entryFromJson(const JsonValue& v)
     if (!v.isObject()) {
         return Status::corruption("journal record: not a JSON object");
     }
-    SweepJournal::Entry e;
+    RunOutcome e;
     const JsonValue* idx = v.find("index");
     if (!idx || idx->kind() != JsonValue::Kind::U64) return bad("index");
     e.index = static_cast<std::size_t>(idx->asU64());
@@ -341,7 +341,7 @@ SweepJournal::resume(const std::string& path, const SweepSpec& spec)
 }
 
 Status
-SweepJournal::append(const Entry& e)
+SweepJournal::append(std::size_t index, const RunOutcome& o)
 {
     if (!f_) {
         return Status::internal("journal append on a closed journal");
@@ -351,7 +351,7 @@ SweepJournal::append(const Entry& e)
             "fault injection: induced journal write failure at site "
             "'journal.write'");
     }
-    return writeLine(f_, path_, "ZCJR", entryToJson(e).str());
+    return writeLine(f_, path_, "ZCJR", entryToJson(index, o).str());
 }
 
 } // namespace zc

@@ -39,18 +39,8 @@ namespace zc {
 class SweepJournal
 {
   public:
-    /** One completed grid point, as journaled. `result` valid iff ok. */
-    struct Entry
-    {
-        std::size_t index = 0;
-        bool ok = false;
-        std::uint32_t attempts = 0;
-        bool timedOut = false;
-        std::string error;
-        RunResult result;
-    };
-
-    /** A resumed journal: the reopened file plus the salvaged entries. */
+    /** A resumed journal: the reopened file plus the salvaged outcomes,
+     *  each carrying its grid index. */
     struct Resumed;
 
     SweepJournal() = default;
@@ -92,10 +82,12 @@ class SweepJournal
                                     const SweepSpec& spec);
 
     /**
-     * Append one completed point: CRC-framed line, flushed and fsync'd
-     * before returning, so a crash after append() never loses it.
+     * Append grid point @p index's outcome @p o (whose own index may
+     * count within a sub-grid of the pending points): CRC-framed line,
+     * flushed and fsync'd before returning, so a crash after append()
+     * never loses it.
      */
-    Status append(const Entry& e);
+    Status append(std::size_t index, const RunOutcome& o);
 
     bool isOpen() const { return f_ != nullptr; }
     const std::string& path() const { return path_; }
@@ -125,7 +117,7 @@ class SweepJournal
 struct SweepJournal::Resumed
 {
     SweepJournal journal;
-    std::vector<Entry> entries;
+    std::vector<RunOutcome> entries;
 };
 
 } // namespace zc

@@ -180,14 +180,9 @@ SweepRunner::run(const SweepSpec& spec) const
         auto resumed = SweepJournal::resume(path, spec);
         if (!resumed.hasValue()) throw StatusError(resumed.status());
         journal = std::move(resumed->journal);
-        for (SweepJournal::Entry& e : resumed->entries) {
-            RunOutcome& o = out[e.index];
-            o.ok = e.ok;
-            o.attempts = e.attempts;
-            o.timedOut = e.timedOut;
-            o.error = std::move(e.error);
-            o.result = std::move(e.result);
-            done[e.index] = 1;
+        for (RunOutcome& o : resumed->entries) {
+            done[o.index] = 1;
+            out[o.index] = std::move(o);
         }
     } else {
         auto fresh = SweepJournal::create(path, spec);
@@ -200,21 +195,16 @@ SweepRunner::run(const SweepSpec& spec) const
         if (!done[i]) pending.push_back(i);
     }
 
-    // A journal append failure (disk full, injected fault) must not
-    // kill the sweep — the run's results are still good, only the
-    // ability to resume is lost. Warn once and keep going.
+    // The sub-grid counts the pending points from 0; the journal and
+    // `out` take each one's grid index. A journal append failure (disk
+    // full, injected fault) must not kill the sweep — the run's results
+    // are still good, only the ability to resume is lost. Warn once and
+    // keep going.
     bool append_failed = false;
     auto sub = runGrid<RunResult>(
         pending.size(), [&](std::size_t j) { return point(pending[j]); },
-        opts, [&](const GridOutcome<RunResult>& so) {
-            SweepJournal::Entry e;
-            e.index = pending[so.index];
-            e.ok = so.ok;
-            e.attempts = so.attempts;
-            e.timedOut = so.timedOut;
-            e.error = so.error;
-            if (so.ok) e.result = so.result;
-            if (Status s = journal.append(e);
+        opts, [&](const RunOutcome& o) {
+            if (Status s = journal.append(pending[o.index], o);
                 !s.isOk() && !append_failed) {
                 append_failed = true;
                 std::fprintf(stderr,
@@ -224,13 +214,9 @@ SweepRunner::run(const SweepSpec& spec) const
             }
         });
 
-    for (auto& so : sub) {
-        RunOutcome& o = out[pending[so.index]];
-        o.ok = so.ok;
-        o.attempts = so.attempts;
-        o.timedOut = so.timedOut;
-        o.error = std::move(so.error);
-        o.result = std::move(so.result);
+    for (RunOutcome& o : sub) {
+        o.index = pending[o.index];
+        out[o.index] = std::move(o);
     }
     return out;
 }

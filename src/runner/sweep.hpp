@@ -1,14 +1,16 @@
 /**
  * @file
- * Parallel sweep engine: declarative experiment grids executed on a
- * thread pool with deterministic results and per-job fault isolation.
+ * Parallel sweep engine: declarative experiment grids executed by
+ * worker threads with deterministic results and per-job fault
+ * isolation.
  *
  * Three layers (docs/runner.md):
  *
- *  - runGrid<R>(count, fn, opts): the generic engine. Runs fn(0..count)
- *    on a ThreadPool, captures exceptions into GridOutcome records with
- *    one bounded retry, reports live progress on stderr, and returns
- *    the outcomes **in grid order** — never in completion order.
+ *  - runGrid<R>(count, fn, opts): the generic engine. Its workers claim
+ *    the indices 0..count one at a time from a shared counter, capture
+ *    exceptions into GridOutcome records with one bounded retry, report
+ *    live progress on stderr, and return the outcomes **in grid
+ *    order** — never in completion order.
  *  - SweepSpec: a grid of RunParams points with JSON tags identifying
  *    each point in bench reports, plus an optional base seed from which
  *    every point derives a deterministic seed (a pure function of the
@@ -24,6 +26,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -38,7 +41,6 @@
 #include "common/json.hpp"
 #include "common/status.hpp"
 #include "common/watchdog.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/experiment.hpp"
 
 namespace zc {
@@ -151,18 +153,20 @@ isPermanentError(ErrorCode c)
 
 /**
  * Run fn(index) for every index in [0, count) on @p opts.jobs workers.
- * Returns outcomes in grid order. A job that throws is retried (with
- * exponential backoff when opts.retryBackoffMs is set) up to
- * opts.maxAttempts times — except permanent errors (invalid-argument,
- * not-found, unsupported), which fail once, and watchdog timeouts,
- * which mark the outcome timedOut and are never retried. A job that
- * keeps failing yields ok == false with every attempt's message, and
- * never aborts the rest of the sweep.
+ * Each worker claims the next unclaimed index from one shared counter,
+ * so a worker that finishes a short job moves straight on to the next
+ * and none waits behind a long one. Returns outcomes in grid order. A
+ * job that throws is retried (with exponential backoff when
+ * opts.retryBackoffMs is set) up to opts.maxAttempts times — except
+ * permanent errors (invalid-argument, not-found, unsupported), which
+ * fail once, and watchdog timeouts, which mark the outcome timedOut and
+ * are never retried. A job that keeps failing yields ok == false with
+ * every attempt's message, and never aborts the rest of the sweep.
  *
  * @p onOutcome, when set, is invoked once per finished job — success
  * or failure — serialized under an internal mutex, in completion
  * order. The sweep journal hooks in here; anything slow in the hook
- * throttles the whole pool.
+ * throttles every worker.
  */
 template <typename Result, typename Fn>
 std::vector<GridOutcome<Result>>
@@ -185,49 +189,51 @@ runGrid(std::size_t count, Fn fn, const SweepOptions& opts = {},
     if (jobs > count) jobs = static_cast<unsigned>(count);
     detail::ProgressMeter meter(opts.label, count, opts.progress);
     std::mutex hook_mx;
-    {
-        ThreadPool pool(jobs, 2 * static_cast<std::size_t>(jobs));
-        for (std::size_t i = 0; i < count; i++) {
-            pool.submit([&, i] {
-                meter.jobStarted();
-                GridOutcome<Result>& o = out[i];
-                for (std::uint32_t attempt = 1;
-                     attempt <= opts.maxAttempts && !o.ok; attempt++) {
-                    o.attempts = attempt;
-                    if (attempt > 1 && opts.retryBackoffMs > 0) {
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(opts.retryBackoffMs
-                                                      << (attempt - 2)));
-                    }
-                    try {
-                        ScopedWatchdog wd(opts.jobTimeoutMs);
-                        o.result = fn(i);
-                        o.ok = true;
-                    } catch (const StatusError& e) {
-                        detail::appendAttemptError(o.error, attempt,
-                                                   e.what());
-                        if (e.code() == ErrorCode::Timeout) {
-                            o.timedOut = true;
-                            break;
-                        }
-                        if (detail::isPermanentError(e.code())) break;
-                    } catch (const std::exception& e) {
-                        detail::appendAttemptError(o.error, attempt,
-                                                   e.what());
-                    } catch (...) {
-                        detail::appendAttemptError(o.error, attempt,
-                                                   "non-standard exception");
-                    }
+    // Each index is claimed exactly once; a worker touches only the
+    // outcome slots it claimed, and joining the workers publishes them.
+    std::atomic<std::size_t> next{0};
+    auto worker = [&] {
+        for (std::size_t i;
+             (i = next.fetch_add(1, std::memory_order_relaxed)) < count;) {
+            meter.jobStarted();
+            GridOutcome<Result>& o = out[i];
+            for (std::uint32_t attempt = 1;
+                 attempt <= opts.maxAttempts && !o.ok; attempt++) {
+                o.attempts = attempt;
+                if (attempt > 1 && opts.retryBackoffMs > 0) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(
+                        opts.retryBackoffMs << (attempt - 2)));
                 }
-                meter.jobFinished(o.ok);
-                if (onOutcome) {
-                    std::lock_guard<std::mutex> g(hook_mx);
-                    onOutcome(o);
+                try {
+                    ScopedWatchdog wd(opts.jobTimeoutMs);
+                    o.result = fn(i);
+                    o.ok = true;
+                } catch (const StatusError& e) {
+                    detail::appendAttemptError(o.error, attempt, e.what());
+                    if (e.code() == ErrorCode::Timeout) {
+                        o.timedOut = true;
+                        break;
+                    }
+                    if (detail::isPermanentError(e.code())) break;
+                } catch (const std::exception& e) {
+                    detail::appendAttemptError(o.error, attempt, e.what());
+                } catch (...) {
+                    detail::appendAttemptError(o.error, attempt,
+                                               "non-standard exception");
                 }
-            });
+            }
+            meter.jobFinished(o.ok);
+            if (onOutcome) {
+                std::lock_guard<std::mutex> g(hook_mx);
+                onOutcome(o);
+            }
         }
-        pool.waitIdle();
-    }
+    };
+    {
+        std::vector<std::jthread> workers;
+        workers.reserve(jobs);
+        for (unsigned w = 0; w < jobs; w++) workers.emplace_back(worker);
+    } // jthreads join here
     meter.finish();
     return out;
 }

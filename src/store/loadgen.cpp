@@ -67,10 +67,6 @@ LoadGenConfig::validate() const
             "loadgen: op mix needs getFrac, eraseFrac >= 0 and "
             "getFrac + eraseFrac <= 1");
     }
-    if (openLoopRate < 0.0) {
-        return Status::invalidArgument(
-            "loadgen: openLoopRate must be >= 0 (0 = closed loop)");
-    }
     if (Status s = obs.validate(); !s.isOk()) return s;
     if (store.value.bytesMode()) {
         if (valueBytesMin < 4) {
@@ -237,36 +233,12 @@ runLoadGen(const LoadGenConfig& cfg)
                              static_cast<std::size_t>(tid) * bins
                        : nullptr;
 
-            // Open-loop pacing (net/openloop.hpp, docs/server.md):
-            // arrivals are scheduled up front from the target rate and
-            // each op's latency is measured from its INTENDED arrival,
-            // so a stalled store accrues queueing delay in the
-            // histogram instead of silently pacing the generator
-            // (coordinated omission).
-            std::unique_ptr<ArrivalSchedule> sched;
-            if (cfg.openLoopRate > 0.0) {
-                sched = std::make_unique<ArrivalSchedule>(
-                    cfg.arrivals,
-                    cfg.openLoopRate /
-                        static_cast<double>(cfg.threads),
-                    zkvMix64(cfg.seed ^ 0x6f6cULL) + tid);
-            }
-
             sync.arrive_and_wait();
             const auto t0 = starts[tid] = Clock::now();
             for (std::uint64_t i = 0; i < cfg.opsPerThread; i++) {
                 std::uint64_t key = gen->next().lineAddr;
                 double u = mix.uniform();
-                auto op0 = Clock::now();
-                if (sched) {
-                    auto target =
-                        t0 + std::chrono::nanoseconds(
-                                 sched->nextOffsetNs());
-                    if (op0 < target) {
-                        std::this_thread::sleep_until(target);
-                    }
-                    op0 = target; // latency from the intended arrival
-                }
+                const auto op0 = Clock::now();
                 if (u < cfg.getFrac) {
                     ts.gets++;
                     if (bytes_mode) {

@@ -41,7 +41,6 @@
 #include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
-#include "net/openloop.hpp"
 #include "obs/latency_scale.hpp"
 #include "obs/metrics.hpp"
 #include "store/zkv.hpp"
@@ -154,22 +153,6 @@ struct LoadGenConfig
      */
     std::uint32_t valueBytesMin = 16;
     std::uint32_t valueBytesMax = 64;
-
-    /**
-     * Open-loop mode (net/openloop.hpp): TOTAL target ops/sec across
-     * all threads; each worker issues its share at scheduled arrival
-     * times and measures latency from the INTENDED arrival, so store
-     * stalls land in the histogram as the queueing delay a paced
-     * client population would see (the coordinated-omission-safe
-     * measurement net_loadgen makes over the wire, docs/server.md).
-     * 0 = closed loop (the default): the next op issues when the
-     * previous returns.
-     */
-    double openLoopRate = 0.0;
-
-    /** Arrival process for open-loop mode: fixed metronome or
-     *  Poisson (memoryless clients). Ignored when openLoopRate == 0. */
-    ArrivalKind arrivals = ArrivalKind::Poisson;
 
     /** Live telemetry (docs/telemetry.md). Off by default: the store
      *  keeps its uninstrumented op paths and the run is bit-identical

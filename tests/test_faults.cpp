@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -526,12 +527,11 @@ TEST_F(FaultsTest, JournalCorruptionMidRecordSalvagesThePrefix)
         auto j = SweepJournal::create(path_, spec);
         ASSERT_TRUE(j.hasValue()) << j.status().str();
         for (std::size_t i = 0; i < 3; i++) {
-            SweepJournal::Entry e;
-            e.index = i;
+            RunOutcome e;
             e.ok = false; // error-only entries keep the test light
             e.attempts = 1;
             e.error = "synthetic";
-            ASSERT_TRUE(j->append(e).isOk());
+            ASSERT_TRUE(j->append(i, e).isOk());
         }
     }
     std::string bytes = slurp();
@@ -552,12 +552,11 @@ TEST_F(FaultsTest, JournalCorruptionMidRecordSalvagesThePrefix)
     EXPECT_NE(warning.find("byte offset"), std::string::npos);
 
     // The journal stays appendable after salvage.
-    SweepJournal::Entry e;
-    e.index = 2;
+    RunOutcome e;
     e.ok = false;
     e.attempts = 1;
     e.error = "after salvage";
-    EXPECT_TRUE(resumed->journal.append(e).isOk());
+    EXPECT_TRUE(resumed->journal.append(2, e).isOk());
 }
 
 TEST_F(FaultsTest, JournalRefusesAForeignGrid)
@@ -589,11 +588,10 @@ TEST_F(FaultsTest, JournalInjectedWriteFaultIsStructured)
     auto j = SweepJournal::create(path_, spec);
     ASSERT_TRUE(j.hasValue()) << j.status().str();
     ScopedFault fault("journal.write");
-    SweepJournal::Entry e;
-    e.index = 0;
+    RunOutcome e;
     e.ok = false;
     e.attempts = 1;
-    Status s = j->append(e);
+    Status s = j->append(0, e);
     EXPECT_EQ(s.code(), ErrorCode::IoError);
     EXPECT_NE(s.message().find("journal.write"), std::string::npos);
 }
@@ -655,7 +653,29 @@ TEST_F(FaultsTest, SweepResumeReproducesOutcomesByteIdentically)
 
     SweepOptions resume_opts = quietOpts();
     resume_opts.resumePath = path_;
+    // A site that never fires counts every runExperiment call.
+    ScopedFault count_runs("job.exception", {.afterHits = ~0ULL});
     auto resumed = SweepRunner(resume_opts).run(spec);
+    EXPECT_EQ(FaultInjection::hitCount("job.exception"), full.size() - 1)
+        << "resume must run only the points its journal lacks";
+
+    // Every run appends one record, so each grid index appears exactly
+    // once in the resumed journal: the salvaged point was not re-run.
+    std::vector<int> records(spec.size(), 0);
+    std::istringstream lines(slurp());
+    std::string line;
+    std::getline(lines, line); // the header
+    while (std::getline(lines, line)) {
+        // ZCJR <crc32hex> <outcome-json>
+        auto rec = JsonValue::parse(line.substr(line.find(' ', 5) + 1));
+        ASSERT_TRUE(rec.has_value()) << line;
+        std::uint64_t index = rec->find("index")->asU64();
+        ASSERT_LT(index, records.size());
+        records[index]++;
+    }
+    for (std::size_t i = 0; i < records.size(); i++) {
+        EXPECT_EQ(records[i], 1) << "point " << i;
+    }
 
     ASSERT_EQ(resumed.size(), full.size());
     for (std::size_t i = 0; i < full.size(); i++) {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the parallel sweep engine (src/runner): the thread pool's
- * execution and backpressure, runGrid's grid-order determinism and
+ * Tests of the parallel sweep engine (src/runner): runGrid's workers
+ * running every index exactly once, its grid-order determinism and
  * fault isolation (exception capture + bounded retry), the SweepSpec
  * seed derivation, and the SweepRunner end-to-end contract that
  * --jobs=N produces byte-identical results to --jobs=1.
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "runner/sweep.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace zc {
 namespace {
@@ -32,47 +31,13 @@ quiet(unsigned jobs)
     return o;
 }
 
-// ---------------------------------------------------------------- pool
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < 200; i++) {
-            pool.submit([&count] { count.fetch_add(1); });
-        }
-        pool.waitIdle();
-        EXPECT_EQ(count.load(), 200);
-    }
-    EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, DefaultsToHardwareConcurrency)
-{
-    ThreadPool pool;
-    EXPECT_GE(pool.threadCount(), 1u);
-}
-
-TEST(ThreadPool, ExplicitZeroThreadsClampsToAtLeastOne)
-{
-    // --jobs=0 means "auto". std::thread::hardware_concurrency() is
-    // allowed to return 0 (the value is only a hint), so the auto path
-    // must clamp to one worker — a pool with zero workers would accept
-    // tasks and never run them. This pins the clamp in place.
-    ThreadPool pool(0);
-    EXPECT_GE(pool.threadCount(), 1u);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 16; i++) {
-        pool.submit([&count] { count.fetch_add(1); });
-    }
-    pool.waitIdle();
-    EXPECT_EQ(count.load(), 16);
-}
+// --------------------------------------------------------------- jobs
 
 TEST(Grid, DefaultJobsIsNeverZero)
 {
-    // Same clamp one layer up: the sweep engine's jobs=0 fallback.
+    // --jobs=0 means "auto". std::thread::hardware_concurrency() is
+    // allowed to return 0 (the value is only a hint), so the auto path
+    // must clamp to one worker: zero workers would never run a job.
     EXPECT_GE(detail::defaultJobs(), 1u);
 }
 
@@ -92,49 +57,6 @@ TEST(Grid, JobsZeroRunsTheWholeGrid)
         EXPECT_TRUE(outs[i].ok);
         EXPECT_EQ(outs[i].result, static_cast<int>(i) * 2);
     }
-}
-
-TEST(ThreadPool, TinyQueueCapacityStillDrainsEverything)
-{
-    // Capacity 1 forces submit() to block on backpressure repeatedly;
-    // every task must still run exactly once.
-    std::atomic<int> count{0};
-    ThreadPool pool(2, 1);
-    for (int i = 0; i < 100; i++) {
-        pool.submit([&count] { count.fetch_add(1); });
-    }
-    pool.waitIdle();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleThenReuse)
-{
-    std::atomic<int> count{0};
-    ThreadPool pool(2);
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.waitIdle();
-    EXPECT_EQ(count.load(), 1);
-    for (int i = 0; i < 10; i++) {
-        pool.submit([&count] { count.fetch_add(1); });
-    }
-    pool.waitIdle();
-    EXPECT_EQ(count.load(), 11);
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(1, 8);
-        for (int i = 0; i < 8; i++) {
-            pool.submit([&count] {
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                count.fetch_add(1);
-            });
-        }
-        // No waitIdle: the destructor must drain, not drop.
-    }
-    EXPECT_EQ(count.load(), 8);
 }
 
 // -------------------------------------------------------------- runGrid
@@ -157,6 +79,40 @@ TEST(RunGrid, SinglePoint)
     EXPECT_EQ(out[0].attempts, 1u);
     EXPECT_EQ(out[0].result, 41);
     EXPECT_TRUE(out[0].error.empty());
+}
+
+TEST(RunGrid, EveryIndexRunsOnceInItsOwnSlot)
+{
+    // Uneven job times: every seventh index sleeps, the rest return at
+    // once, so workers claim indices at very different rates. The last
+    // grid has more workers than indices.
+    struct Case
+    {
+        std::size_t count;
+        unsigned jobs;
+    };
+    for (Case c : {Case{300, 1}, Case{300, 3}, Case{300, 8}, Case{3, 16}}) {
+        std::vector<std::atomic<int>> calls(c.count);
+        auto out = runGrid<std::size_t>(
+            c.count,
+            [&](std::size_t i) {
+                calls[i].fetch_add(1);
+                if (i % 7 == 0) {
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(20 * (i % 5 + 1)));
+                }
+                return 3 * i + 1;
+            },
+            quiet(c.jobs));
+        ASSERT_EQ(out.size(), c.count);
+        for (std::size_t i = 0; i < c.count; i++) {
+            EXPECT_EQ(calls[i].load(), 1) << "jobs=" << c.jobs << " i=" << i;
+            EXPECT_EQ(out[i].index, i);
+            EXPECT_TRUE(out[i].ok);
+            EXPECT_EQ(out[i].attempts, 1u);
+            EXPECT_EQ(out[i].result, 3 * i + 1);
+        }
+    }
 }
 
 TEST(RunGrid, OutcomesInGridOrderRegardlessOfCompletionOrder)
