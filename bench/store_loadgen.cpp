@@ -436,8 +436,6 @@ main(int argc, char** argv)
     // Points are themselves multithreaded: measure one at a time
     // unless the caller explicitly asks for overlap.
     if (flag(argc, argv, "jobs", "").empty()) opts.jobs = 1;
-    opts.journalPath.clear();
-    opts.resumePath.clear();
 
     auto outcomes = runGrid<LoadGenResult>(
         grid.size(),

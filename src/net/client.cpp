@@ -84,18 +84,27 @@ ZkvClient::connect(const ZkvClientConfig& cfg)
 Status
 ZkvClient::sendRaw(const Request& req)
 {
-    wbuf_.clear();
     encodeRequest(req, wbuf_);
+    return Status::ok();
+}
+
+Status
+ZkvClient::flush()
+{
     std::size_t sent = 0;
     while (sent < wbuf_.size()) {
         ssize_t n = ::send(fd_, wbuf_.data() + sent,
                            wbuf_.size() - sent, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) continue;
-            return errnoStatus("send");
+            Status s = errnoStatus("send");
+            // The stream may now end mid-frame: send none of it again.
+            wbuf_.clear();
+            return s;
         }
         sent += static_cast<std::size_t>(n);
     }
+    wbuf_.clear();
     return Status::ok();
 }
 
@@ -118,6 +127,9 @@ ZkvClient::recvResponse()
         rbuf_.erase(rbuf_.begin(),
                     rbuf_.begin() + static_cast<std::ptrdiff_t>(rpos_));
         rpos_ = 0;
+        // About to block: whatever is queued goes out first, so the
+        // response we wait for can be the answer to it.
+        if (Status s = flush(); !s.isOk()) return s;
         std::uint8_t buf[4096];
         ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
         if (n == 0) return truncatedAtEof(rbuf_.size());

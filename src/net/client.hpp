@@ -9,10 +9,18 @@
  *  - typed round trips: get / put / erase / ping encode one request,
  *    block for its response, and map the response's status byte back
  *    into a structured Status;
- *  - pipelining primitives: sendRaw() writes a request without
- *    waiting, recvResponse() blocks for the next response frame.
- *    ZkvServer preserves per-connection order, so K sendRaw calls
- *    followed by K recvResponse calls see responses in send order.
+ *  - pipelining primitives, with hiredis's output-buffer contract:
+ *    sendRaw() only encodes a request into the client's queue; it
+ *    makes no system call. recvResponse() returns a response that is
+ *    already buffered without a system call; only when it must block
+ *    in recv does it first write everything queued. flush() writes
+ *    the queue at once without waiting. A closed loop that answers
+ *    each response with a new request thus writes, per wait, every
+ *    request queued since the last one, not one frame per send.
+ *    Requests still queued when the client is destroyed are never
+ *    sent. ZkvServer preserves per-connection order, so K sendRaw
+ *    calls followed by K recvResponse calls see responses in send
+ *    order.
  *
  * When cfg.crc is set every request carries a CRC-32 trailer; the
  * server echoes the protection on its responses, and decode verifies
@@ -84,16 +92,24 @@ class ZkvClient
     Expected<std::optional<std::vector<std::uint8_t>>>
     getBytes(std::uint64_t key);
 
-    /** Write one request now and return; pair with recvResponse(). */
+    /** Queue one request; it is written by flush() or by the next
+     *  recvResponse() that has to wait. Makes no system call. */
     Status sendRaw(const Request& req);
 
-    /** Block until the next response frame decodes (or the stream
+    /** Write every queued request now, without waiting for a reply
+     *  (IoError if the write fails; the queue is dropped either way). */
+    Status flush();
+
+    /** The next response frame: from the read buffer if one is there,
+     *  else flush() and block in recv until one decodes (or the stream
      *  errors: Truncated on EOF mid-stream, Corruption on framing). */
     Expected<Response> recvResponse();
 
     /** Next request id this client will assign (for pipelined ids). */
     std::uint64_t nextId() const { return nextId_; }
 
+    /** The socket, for callers that write their own frames on it
+     *  (bench/net_loadgen.cpp); flush() queued requests first. */
     int fd() const { return fd_; }
 
   private:
@@ -107,7 +123,7 @@ class ZkvClient
     std::uint64_t nextId_ = 1;
     std::vector<std::uint8_t> rbuf_;
     std::size_t rpos_ = 0; ///< bytes of rbuf_ already decoded
-    std::vector<std::uint8_t> wbuf_;
+    std::vector<std::uint8_t> wbuf_; ///< encoded, not yet written
 };
 
 } // namespace zc::net

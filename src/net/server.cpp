@@ -346,7 +346,7 @@ ZkvServer::dispatchRound()
         }
         if (shardOps_[p.shard].empty()) touched_.push_back(p.shard);
         p.batchSlot = shardOps_[p.shard].size();
-        shardOps_[p.shard].push_back(op);
+        shardOps_[p.shard].push_back(std::move(op));
     }
     for (std::uint32_t s : touched_) {
         shardRes_[s].resize(shardOps_[s].size());

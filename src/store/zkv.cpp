@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <memory>
 #include <mutex>
 #include <utility>
 
@@ -82,6 +84,81 @@ ShardLock::wake()
 namespace {
 
 /**
+ * A bytes-mode shard's payload memory: every stored payload lives in a
+ * slot of this slab, whichever thread put or freed it. Slots come in
+ * size classes kZkvSlabClassBytes apart, cut from kZkvSlabBytes slabs;
+ * each class keeps one intrusive free list (a free slot holds the next
+ * free slot's address). Touched only under the shard lock. Slabs go
+ * back to the system only when the store is destroyed.
+ *
+ * Why not malloc: a payload put by one thread and freed by another
+ * goes back to the first thread's arena, while its replacement comes
+ * from the second's, so a store filled by one thread and served by
+ * another keeps two arenas' worth of payloads resident
+ * (docs/compression.md).
+ */
+class PayloadSlab
+{
+  public:
+    /** Classes for stored payloads of 1 to @p maxBytes bytes. */
+    explicit PayloadSlab(std::size_t maxBytes)
+        : classes_((maxBytes + kZkvSlabClassBytes - 1) / kZkvSlabClassBytes)
+    {
+    }
+
+    /** A slot for @p n stored bytes, 0 < n <= maxBytes. */
+    std::uint8_t*
+    alloc(std::size_t n)
+    {
+        Class& c = classes_[classOf(n)];
+        std::uint8_t* slot = c.free;
+        if (slot != nullptr) {
+            std::memcpy(&c.free, slot, sizeof(slot));
+            return slot;
+        }
+        const std::size_t bytes = (classOf(n) + 1) * kZkvSlabClassBytes;
+        if (static_cast<std::size_t>(c.end - c.next) < bytes) {
+            slabs_.push_back(
+                std::make_unique_for_overwrite<std::uint8_t[]>(kZkvSlabBytes));
+            c.next = slabs_.back().get();
+            c.end = c.next + kZkvSlabBytes;
+        }
+        slot = c.next;
+        c.next += bytes;
+        return slot;
+    }
+
+    /** Return @p slot, which holds @p n stored bytes, to its class. */
+    void
+    free(std::uint8_t* slot, std::size_t n)
+    {
+        Class& c = classes_[classOf(n)];
+        std::memcpy(slot, &c.free, sizeof(slot));
+        c.free = slot;
+    }
+
+    /** Memory cut into slabs so far; it only grows. */
+    std::uint64_t slabBytes() const { return slabs_.size() * kZkvSlabBytes; }
+
+  private:
+    struct Class
+    {
+        std::uint8_t* free = nullptr; ///< free-list head
+        std::uint8_t* next = nullptr; ///< uncut rest of the last slab
+        std::uint8_t* end = nullptr;
+    };
+
+    static std::size_t
+    classOf(std::size_t n)
+    {
+        return (n - 1) / kZkvSlabClassBytes;
+    }
+
+    std::vector<Class> classes_;
+    std::vector<std::unique_ptr<std::uint8_t[]>> slabs_;
+};
+
+/**
  * Decorates the shard's real replacement policy, forwarding every
  * notification and ranking call unchanged — the array's walk decisions
  * are bit-identical to a bare array with the same inner policy — while
@@ -110,25 +187,28 @@ namespace {
  * relocations, and onEvict clears it (ZArray::invalidate also funnels
  * through onEvict, so erases clear it too).
  *
- * In bytes mode (ZkvValueConfig::bytesMode) a per-position owned
- * compressed payload rides alongside the u64 mirror, moved through the
- * same onMove/onSwap/onEvict protocol. Byte payloads are only ever
- * touched under the shard lock — bytes mode rejects the optimistic
- * read path at validate() — so they are plain vectors, not atomics.
- * The mirror also keeps the shard's compression accounting (resident
- * raw vs stored bytes), since it is the one place that sees every
- * payload arrive and leave.
+ * In bytes mode (ZkvValueConfig::bytesMode) a per-position handle on
+ * a compressed payload rides alongside the u64 mirror, moved through
+ * the same onMove/onSwap/onEvict protocol; the bytes live in the
+ * shard's PayloadSlab. Byte payloads are only ever touched under the
+ * shard lock — bytes mode rejects the optimistic read path at
+ * validate() — so they are plain handles, not atomics. The mirror
+ * also keeps the shard's compression accounting (resident raw vs
+ * stored bytes, slab memory), since it is the one place that sees
+ * every payload arrive and leave.
  */
 class ValueMirror final : public ReplacementPolicy
 {
   public:
+    /** @p codec is the store's, null outside bytes mode. */
     ValueMirror(std::unique_ptr<ReplacementPolicy> inner,
-                const ZkvValueConfig& vcfg)
+                const Codec* codec)
         : ReplacementPolicy(inner->numBlocks()),
           inner_(std::move(inner)),
           keys_(numBlocks()),
           values_(numBlocks()),
-          bytesMode_(vcfg.bytesMode())
+          bytesMode_(codec != nullptr),
+          slab_(codec ? codec->maxCompressedSize(kZkvMaxValueBytes) : 0)
     {
         for (std::uint32_t i = 0; i < numBlocks(); i++) {
             keys_[i].store(static_cast<std::uint64_t>(kInvalidAddr),
@@ -159,7 +239,12 @@ class ValueMirror final : public ReplacementPolicy
                         std::memory_order_relaxed);
         values_[to].store(values_[from].load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
-        if (bytesMode_) payloads_[to] = std::exchange(payloads_[from], {});
+        if (bytesMode_) {
+            // Every relocation lands in a slot already emptied:
+            // ZArray::commit evicts before it relocates.
+            zc_assert(payloads_[to].size == 0);
+            payloads_[to] = std::exchange(payloads_[from], {});
+        }
         inner_->onMove(from, to);
     }
 
@@ -187,7 +272,7 @@ class ValueMirror final : public ReplacementPolicy
         if (bytesMode_) {
             // PutResult reports only the evicted *key* in bytes mode —
             // the payload dies compressed, never decoded.
-            install(pos, {});
+            install(pos, {}, 0);
         }
         inner_->onEvict(pos);
     }
@@ -226,16 +311,18 @@ class ValueMirror final : public ReplacementPolicy
 
     /**
      * Stage the value the next commit() or onInsert installs: the u64
-     * word, or in bytes mode (@p compressed non-null) the compressed
-     * payload and its raw length, with the u64 word left 0. Shard lock
-     * held, like every bytes-mode call below.
+     * word, or in bytes mode the compressed payload @p stored and its
+     * raw length, with the u64 word left 0. @p stored must stay valid
+     * until then; commit() copies it into the slab. Shard lock held,
+     * like every bytes-mode call below.
      */
     void
-    stage(std::uint64_t v, std::vector<std::uint8_t>* compressed,
+    stage(std::uint64_t v, std::span<const std::uint8_t> stored,
           std::uint32_t rawLen)
     {
-        pending_ = compressed != nullptr ? 0 : v;
-        if (compressed) pendingPayload_ = {std::move(*compressed), rawLen};
+        pending_ = bytesMode_ ? 0 : v;
+        pendingStored_ = stored;
+        pendingRawLen_ = rawLen;
     }
 
     /** Install the staged value at @p pos — an update in place, or an
@@ -247,39 +334,57 @@ class ValueMirror final : public ReplacementPolicy
         values_[pos].store(pending_, std::memory_order_relaxed);
         if (!bytesMode_) return;
         comp_.compressCalls++;
-        comp_.rawBytesTotal += pendingPayload_.rawLen;
-        comp_.storedBytesTotal += pendingPayload_.bytes.size();
-        install(pos, std::exchange(pendingPayload_, {}));
+        comp_.rawBytesTotal += pendingRawLen_;
+        comp_.storedBytesTotal += pendingStored_.size();
+        install(pos, std::exchange(pendingStored_, {}), pendingRawLen_);
     }
 
-    const std::vector<std::uint8_t>&
+    std::span<const std::uint8_t>
     bytesAt(BlockPos pos) const
     {
-        return payloads_[pos].bytes;
+        return {payloads_[pos].data, payloads_[pos].size};
     }
 
     void noteDecompress() { comp_.decompressCalls++; }
 
-    const ZkvCompressionStats& compressionStats() const { return comp_; }
+    ZkvCompressionStats
+    compressionStats() const
+    {
+        ZkvCompressionStats c = comp_;
+        c.slabBytes = slab_.slabBytes();
+        return c;
+    }
 
   private:
-    /** One position's stored payload (bytes mode). */
+    /** One position's stored payload (bytes mode): a handle on a slab
+     *  slot, all zero when the position holds none. */
     struct Payload
     {
-        std::vector<std::uint8_t> bytes; ///< as stored (post-codec)
-        std::uint32_t rawLen = 0;        ///< pre-codec length
+        std::uint8_t* data = nullptr; ///< as stored (post-codec)
+        std::uint32_t size = 0;       ///< stored length
+        std::uint32_t rawLen = 0;     ///< pre-codec length
     };
+    static_assert(sizeof(Payload) == 16);
 
-    /** Replace @p pos's payload, keeping the resident accounting. */
+    /**
+     * Replace @p pos's payload with a copy of @p stored (empty to
+     * clear it), keeping the resident accounting. The old slot is
+     * freed first, so an overwrite of one length reuses its own slot.
+     */
     void
-    install(BlockPos pos, Payload p)
+    install(BlockPos pos, std::span<const std::uint8_t> stored,
+            std::uint32_t rawLen)
     {
-        Payload& old = payloads_[pos];
-        comp_.residentRawBytes += p.rawLen;
-        comp_.residentRawBytes -= old.rawLen;
-        comp_.residentStoredBytes += p.bytes.size();
-        comp_.residentStoredBytes -= old.bytes.size();
-        old = std::move(p);
+        Payload& p = payloads_[pos];
+        comp_.residentRawBytes += rawLen;
+        comp_.residentRawBytes -= p.rawLen;
+        comp_.residentStoredBytes += stored.size();
+        comp_.residentStoredBytes -= p.size;
+        if (p.size != 0) slab_.free(p.data, p.size);
+        p = {nullptr, static_cast<std::uint32_t>(stored.size()), rawLen};
+        if (stored.empty()) return;
+        p.data = slab_.alloc(stored.size());
+        std::memcpy(p.data, stored.data(), stored.size());
     }
 
     std::unique_ptr<ReplacementPolicy> inner_;
@@ -290,7 +395,9 @@ class ValueMirror final : public ReplacementPolicy
 
     const bool bytesMode_;
     std::vector<Payload> payloads_; ///< per position
-    Payload pendingPayload_;
+    PayloadSlab slab_;
+    std::span<const std::uint8_t> pendingStored_;
+    std::uint32_t pendingRawLen_ = 0;
     ZkvCompressionStats comp_;
 };
 
@@ -394,7 +501,7 @@ ZkvStore::create(const ZkvConfig& cfg)
             lru->placeClock(&shard->hot.lruClock);
         }
         auto mirror = std::make_unique<ValueMirror>(std::move(inner),
-                                                    cfg.value);
+                                                    store->codec_.get());
         shard->mirror = mirror.get();
         shard->array = makeArray(spec, std::move(mirror));
         shard->array->placeStats(&shard->hot.arrayStats);
@@ -642,7 +749,7 @@ ZkvStore::getStep(Shard& sh, const StoreBatchOp& op, StoreBatchResult& res,
     if (pos == kInvalidPos) return;
     sh.hot.getHits++;
     if (bytesMode()) {
-        const std::vector<std::uint8_t>& stored = sh.mirror->bytesAt(pos);
+        const std::span<const std::uint8_t> stored = sh.mirror->bytesAt(pos);
         res.valueBytes.resize(cfg_.value.maxBytes);
         sh.mirror->noteDecompress();
         auto len_or = codec_->decompress(stored.data(), stored.size(),
@@ -665,8 +772,9 @@ ZkvStore::getStep(Shard& sh, const StoreBatchOp& op, StoreBatchResult& res,
 template <class Probe>
 [[gnu::always_inline]] inline void
 ZkvStore::putStep(Shard& sh, std::uint32_t shard, const StoreBatchOp& op,
-                  std::vector<std::uint8_t>* comp, StoreBatchResult& res,
-                  Probe& probe, std::uint64_t& pseq, Status* why)
+                  std::span<const std::uint8_t> stored,
+                  StoreBatchResult& res, Probe& probe, std::uint64_t& pseq,
+                  Status* why)
 {
     if (op.key == kReservedKey) {
         return fail(res,
@@ -685,7 +793,7 @@ ZkvStore::putStep(Shard& sh, std::uint32_t shard, const StoreBatchOp& op,
                     why);
     }
     sh.stats.puts++;
-    sh.mirror->stage(op.value, comp,
+    sh.mirror->stage(op.value, stored,
                      static_cast<std::uint32_t>(op.valueBytes.size()));
     AccessContext ctx{op.key, kNoNextUse};
     const BlockPos pos = sh.array->access(op.key, ctx);
@@ -804,23 +912,39 @@ ZkvStore::runBatch(std::uint32_t shard, std::span<const StoreBatchOp> ops,
     }
 
     // Bytes-mode put payloads are compressed before the lock (codecs are
-    // stateless), each into a stack buffer and then one of exactly its
-    // compressed size, so the lock covers only the array mutation.
-    std::unique_ptr<std::vector<std::uint8_t>[]> comp;
-    std::array<std::uint8_t, kZkvMaxValueBytes + 32> packed; // + header
+    // stateless), one op per slot of one buffer: on the stack for a
+    // one-op batch, one heap block for a larger one. Under the lock,
+    // commit() copies each into the shard's slab.
+    struct Packed
+    {
+        std::uint32_t len = 0;
+        std::array<std::uint8_t, kZkvMaxValueBytes + 32> bytes; // + header
+    };
+    Packed one;
+    std::unique_ptr<Packed[]> many;
+    Packed* packed = nullptr; // per op, once the batch holds a put
+    const auto stored = [&](std::size_t i) {
+        return packed != nullptr ? std::span<const std::uint8_t>(
+                                       packed[i].bytes.data(), packed[i].len)
+                                 : std::span<const std::uint8_t>();
+    };
     for (std::size_t i = 0; bytesMode() && i < ops.size(); i++) {
         const StoreBatchOp& op = ops[i];
-        // putStep fails oversize payloads, uncompressed.
         if (op.kind != ObsOp::Put) continue;
-        if (op.valueBytes.size() > cfg_.value.maxBytes) continue;
-        if (!comp) {
-            comp = std::make_unique<std::vector<std::uint8_t>[]>(ops.size());
+        if (packed == nullptr) {
+            if (ops.size() > 1) {
+                many = std::make_unique_for_overwrite<Packed[]>(ops.size());
+            }
+            packed = many ? many.get() : &one;
         }
+        // putStep fails oversize payloads, uncompressed.
+        if (op.valueBytes.size() > cfg_.value.maxBytes) continue;
         auto n_or = codec_->compress(op.valueBytes.data(),
-                                     op.valueBytes.size(), packed.data(),
-                                     packed.size());
-        zc_assert(n_or.hasValue()); // packed >= maxCompressedSize
-        comp[i].assign(packed.begin(), packed.begin() + *n_or);
+                                     op.valueBytes.size(),
+                                     packed[i].bytes.data(),
+                                     packed[i].bytes.size());
+        zc_assert(n_or.hasValue()); // bytes >= maxCompressedSize
+        packed[i].len = static_cast<std::uint32_t>(*n_or);
     }
 
     std::uint64_t pseq = 0; // the batch's highest op-log seqno
@@ -837,8 +961,7 @@ ZkvStore::runBatch(std::uint32_t shard, std::span<const StoreBatchOp> ops,
                 getStep(sh, op, out[i], probe, why);
                 break;
               case ObsOp::Put:
-                putStep(sh, shard, op, comp ? &comp[i] : nullptr,
-                        out[i], probe, pseq, why);
+                putStep(sh, shard, op, stored(i), out[i], probe, pseq, why);
                 break;
               case ObsOp::Erase:
                 eraseStep(sh, shard, op, out[i], probe, pseq);
@@ -961,7 +1084,7 @@ ZkvStore::compressionTotals() const
     ZkvCompressionStats t;
     for (const auto& sh : shards_) {
         std::lock_guard<ShardLock> g(sh->hot.lock);
-        const ZkvCompressionStats& c = sh->mirror->compressionStats();
+        const ZkvCompressionStats c = sh->mirror->compressionStats();
         sumCounters(t, kCompressionCounters, c);
         sumCounters(t, kCompressionLevels, c);
     }
@@ -1089,7 +1212,7 @@ ZkvStore::replayPut(std::uint32_t shard, std::uint64_t key,
     if (key == kReservedKey) return;
     Shard& sh = *shards_[shard];
     std::lock_guard<ShardLock> g(sh.hot.lock);
-    sh.mirror->stage(value, nullptr, 0);
+    sh.mirror->stage(value, {}, 0);
     AccessContext ctx{key, kNoNextUse};
     BlockPos pos = sh.array->access(key, ctx);
     Shard::WriteSection ws(sh);

@@ -113,6 +113,14 @@ readPathName(ReadPath p)
 inline constexpr std::uint32_t kZkvMaxValueBytes = 224;
 
 /**
+ * A bytes-mode shard keeps its stored payloads in a slab
+ * (docs/compression.md): slots in size classes kZkvSlabClassBytes
+ * apart, cut from kZkvSlabBytes slabs.
+ */
+inline constexpr std::uint32_t kZkvSlabClassBytes = 16;
+inline constexpr std::uint32_t kZkvSlabBytes = 16 * 1024;
+
+/**
  * Value representation (docs/compression.md). Default is the original
  * fixed-u64 mode: put/get carry one machine word and every compressed
  * path below is compiled out of the hot loops by one branch.
@@ -297,6 +305,8 @@ struct StoreBatchResult
  * The *Total pairs accumulate over every put, the resident pairs track
  * live entries, so realized compression ratio is available both as a
  * workload property (totals) and an occupancy property (resident).
+ * slabBytes is the memory the shards' payload slabs hold, which is
+ * never returned while the store lives.
  */
 struct ZkvCompressionStats
 {
@@ -304,6 +314,7 @@ struct ZkvCompressionStats
     std::uint64_t decompressCalls = 0;
     std::uint64_t rawBytesTotal = 0;      ///< pre-codec bytes, all puts
     std::uint64_t storedBytesTotal = 0;   ///< post-codec bytes, all puts
+    std::uint64_t slabBytes = 0;          ///< payload slab memory, grows only
     std::uint64_t residentRawBytes = 0;   ///< live entries, pre-codec
     std::uint64_t residentStoredBytes = 0; ///< live entries, as stored
 
@@ -328,6 +339,8 @@ inline constexpr CounterField<ZkvCompressionStats> kCompressionCounters[] = {
      &ZkvCompressionStats::rawBytesTotal},
     {"stored_bytes_total", "post-codec bytes, all puts",
      &ZkvCompressionStats::storedBytesTotal},
+    {"slab_bytes", "payload slab memory (only grows)",
+     &ZkvCompressionStats::slabBytes},
 };
 
 /** ZkvCompressionStats' resident levels, which fall on evictions and
@@ -816,7 +829,7 @@ class ZkvStore
     template <class Probe>
     inline void putStep(Shard& sh, std::uint32_t shard,
                         const StoreBatchOp& op,
-                        std::vector<std::uint8_t>* comp,
+                        std::span<const std::uint8_t> stored,
                         StoreBatchResult& res, Probe& probe,
                         std::uint64_t& pseq, Status* why);
 

@@ -26,6 +26,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/array_factory.hpp"
@@ -575,6 +576,67 @@ TEST(ZkvBytes, CompressionTotalsAccountResidentBytes)
     cp = kv.compressionTotals();
     EXPECT_EQ(cp.residentRawBytes, 0u);
     EXPECT_EQ(cp.residentStoredBytes, 0u);
+}
+
+/** Overwriting one key with payloads of one length reuses its slab
+ *  slot, so 10,000 overwrites hold the store at one slab. */
+TEST(ZkvBytes, OverwritesOfOneLengthHoldOneSlab)
+{
+    auto store = ZkvStore::create(bytesConfig());
+    ASSERT_TRUE(store.hasValue());
+    ZkvStore& kv = **store;
+    Pcg32 rng(5);
+    std::vector<std::uint8_t> v(100);
+    for (int i = 0; i < 10000; i++) {
+        for (auto& b : v) b = static_cast<std::uint8_t>(rng.next64());
+        ASSERT_TRUE(kv.putBytes(42, v).hasValue()) << i;
+    }
+    EXPECT_EQ(kv.compressionTotals().slabBytes, kZkvSlabBytes);
+    auto got = kv.getBytes(42);
+    ASSERT_TRUE(got.hasValue());
+    ASSERT_TRUE(got->has_value());
+    EXPECT_EQ(**got, v);
+}
+
+/**
+ * Payload memory belongs to the shard, not to the thread that put it:
+ * a store filled by one thread and then wholly overwritten by another,
+ * with the same lengths, reuses the slots the overwrites free, so
+ * slab_bytes grows by at most one slab per size class.
+ */
+TEST(ZkvBytes, AnotherThreadsOverwritesReuseTheFreedSlots)
+{
+    ZkvConfig cfg = bytesConfig();
+    cfg.value.codec = CodecKind::None; // stored length == value length
+    auto store = ZkvStore::create(cfg);
+    ASSERT_TRUE(store.hasValue());
+    ZkvStore& kv = **store;
+    // Half the capacity, so the fill evicts nothing and every key is
+    // still resident for the overwrite.
+    const std::uint64_t keys = std::uint64_t{cfg.shards} * cfg.array.blocks / 2;
+    const auto pass = [&](std::uint64_t seed) {
+        Pcg32 rng(seed);
+        std::vector<std::uint8_t> v;
+        for (std::uint64_t key = 1; key <= keys; key++) {
+            v.resize(1 + (key * 37) % kZkvMaxValueBytes);
+            for (auto& b : v) b = static_cast<std::uint8_t>(rng.next64());
+            ASSERT_TRUE(kv.putBytes(key, v).hasValue()) << key;
+        }
+    };
+    std::thread(pass, 1).join();
+    const ZkvCompressionStats filled = kv.compressionTotals();
+    ASSERT_EQ(kv.totals().evictions, 0u);
+    std::thread(pass, 2).join();
+    const ZkvCompressionStats overwritten = kv.compressionTotals();
+    ASSERT_EQ(kv.size(), keys);
+
+    const std::uint64_t classes = kZkvMaxValueBytes / kZkvSlabClassBytes;
+    // Without reuse the overwrite would grow the slabs by about the
+    // fill, which is above the bound.
+    EXPECT_GT(filled.slabBytes, classes * kZkvSlabBytes);
+    EXPECT_LE(overwritten.slabBytes - filled.slabBytes,
+              classes * kZkvSlabBytes);
+    EXPECT_EQ(overwritten.residentStoredBytes, filled.residentStoredBytes);
 }
 
 /**

@@ -7,15 +7,17 @@
  * server whose read-your-writes view matches a direct ZkvStore built
  * from the identical config; pipelined per-connection ordering;
  * graceful-drain delivery of in-flight responses; the loop's poll and
- * park rounds; a client decoding many responses per read; and the
- * net.* fault sites (docs/robustness.md) surfacing as structured
- * failures, not crashes.
+ * park rounds; a client decoding many responses per read and writing
+ * its queued requests only when it waits; and the net.* fault sites
+ * (docs/robustness.md) surfacing as structured failures, not crashes.
  */
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -719,6 +721,7 @@ TEST(NetServer, DrainDeliversInFlightResponses)
         ids.push_back(req.id);
         ASSERT_TRUE(cl->sendRaw(req).isOk());
     }
+    ASSERT_TRUE(cl->flush().isOk()); // in flight before the drain starts
     f.server().shutdown();
 
     int got = 0;
@@ -840,14 +843,14 @@ TEST(NetServer, ShutdownInThePollWindowDrainsBeforeTheDeadline)
 }
 
 /**
- * One recv delivers many responses and the head of the last one; the
- * rest of that frame comes in a second recv. The client decodes them
- * all in order, ids and payloads intact. A bare listener stands in
- * for the server so the test decides where the bytes are cut.
+ * Connect a client to a bare listener and accept it, so that a test
+ * decides every byte the client reads and sees every byte it writes.
+ * The caller closes @p lfd and @p peer.
  */
-TEST(NetClient, ManyResponsesPerRecvAndASplitLastFrame)
+void
+connectToBarePeer(int& lfd, int& peer, std::unique_ptr<ZkvClient>& cl)
 {
-    const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     ASSERT_GE(lfd, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -859,10 +862,24 @@ TEST(NetClient, ManyResponsesPerRecvAndASplitLastFrame)
               0);
     ZkvClientConfig cc;
     cc.port = ntohs(addr.sin_port);
-    auto cl = ZkvClient::connect(cc);
-    ASSERT_TRUE(cl.hasValue()) << cl.status().str();
-    const int peer = ::accept(lfd, nullptr, nullptr);
+    auto cl_or = ZkvClient::connect(cc);
+    ASSERT_TRUE(cl_or.hasValue()) << cl_or.status().str();
+    cl = std::move(*cl_or);
+    peer = ::accept(lfd, nullptr, nullptr);
     ASSERT_GE(peer, 0);
+}
+
+/**
+ * One recv delivers many responses and the head of the last one; the
+ * rest of that frame comes in a second recv. The client decodes them
+ * all in order, ids and payloads intact. A bare listener stands in
+ * for the server so the test decides where the bytes are cut.
+ */
+TEST(NetClient, ManyResponsesPerRecvAndASplitLastFrame)
+{
+    int lfd = -1, peer = -1;
+    std::unique_ptr<ZkvClient> cl;
+    ASSERT_NO_FATAL_FAILURE(connectToBarePeer(lfd, peer, cl));
 
     constexpr int kFrames = 24;
     Pcg32 rng(0x5b1f, 1);
@@ -891,15 +908,137 @@ TEST(NetClient, ManyResponsesPerRecvAndASplitLastFrame)
                              MSG_NOSIGNAL),
                       static_cast<ssize_t>(wire.size() - cut));
         }
-        auto got = (*cl)->recvResponse();
+        auto got = cl->recvResponse();
         ASSERT_TRUE(got.hasValue()) << got.status().str();
         EXPECT_EQ(got->id, want[static_cast<std::size_t>(i)].id);
         EXPECT_EQ(got->valueBytes,
                   want[static_cast<std::size_t>(i)].valueBytes);
     }
     ::close(peer);
-    auto eof = (*cl)->recvResponse();
+    auto eof = cl->recvResponse();
     EXPECT_FALSE(eof.hasValue());
+    ::close(lfd);
+}
+
+/**
+ * sendRaw only queues: the peer sees nothing until flush(), which
+ * writes every queued frame in order, or until a recvResponse() has
+ * to wait. A response already buffered is returned without writing
+ * the request queued since; the next call, which must block, writes
+ * that request before it waits.
+ */
+TEST(NetClient, QueuedRequestsGoOutWhenTheClientWaits)
+{
+    int lfd = -1, peer = -1;
+    std::unique_ptr<ZkvClient> cl;
+    ASSERT_NO_FATAL_FAILURE(connectToBarePeer(lfd, peer, cl));
+
+    const auto request = [](std::uint64_t id) {
+        Request r;
+        r.type = MsgType::Get;
+        r.id = id;
+        r.key = id * 977;
+        return r;
+    };
+    const auto peerHasNothing = [&] {
+        std::uint8_t b = 0;
+        return ::recv(peer, &b, 1, MSG_DONTWAIT) < 0 &&
+               (errno == EAGAIN || errno == EWOULDBLOCK);
+    };
+    // The ids of the next @p n request frames the peer reads, waiting
+    // up to 5 s for each chunk.
+    std::vector<std::uint8_t> in;
+    const auto peerReads = [&](std::size_t n) {
+        std::vector<std::uint64_t> ids;
+        std::size_t off = 0;
+        while (ids.size() < n) {
+            Request r;
+            auto used = decodeRequest(in.data() + off, in.size() - off, &r);
+            if (!used.hasValue()) {
+                ADD_FAILURE() << used.status().str();
+                break;
+            }
+            if (*used > 0) {
+                off += *used;
+                ids.push_back(r.id);
+                continue;
+            }
+            pollfd pfd{peer, POLLIN, 0};
+            if (::poll(&pfd, 1, 5000) != 1) {
+                ADD_FAILURE() << "the peer got no bytes within 5 s";
+                break;
+            }
+            std::uint8_t buf[4096];
+            const ssize_t got = ::recv(peer, buf, sizeof(buf), 0);
+            if (got <= 0) {
+                ADD_FAILURE() << "peer recv returned " << got;
+                break;
+            }
+            in.insert(in.end(), buf, buf + got);
+        }
+        in.erase(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(off));
+        return ids;
+    };
+    const auto respond = [&](std::initializer_list<std::uint64_t> ids) {
+        std::vector<std::uint8_t> wire;
+        for (std::uint64_t id : ids) {
+            Response r;
+            r.type = MsgType::Get;
+            r.id = id;
+            encodeResponse(r, wire);
+        }
+        EXPECT_EQ(::send(peer, wire.data(), wire.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(wire.size()));
+        return wire.size();
+    };
+
+    constexpr std::uint64_t kQueued = 16;
+    std::vector<std::uint64_t> want;
+    for (std::uint64_t id = 1; id <= kQueued; id++) {
+        ASSERT_TRUE(cl->sendRaw(request(id)).isOk());
+        want.push_back(id);
+    }
+    EXPECT_TRUE(peerHasNothing()) << "sendRaw wrote before the client waited";
+    ASSERT_TRUE(cl->flush().isOk());
+    EXPECT_EQ(peerReads(kQueued), want);
+    EXPECT_TRUE(in.empty());
+
+    // Two responses wait in the client's socket, so one recv reads both.
+    const int sent = static_cast<int>(respond({101, 102}));
+    int avail = 0;
+    for (int tries = 0; avail < sent && tries < 5000; tries++) {
+        ASSERT_EQ(::ioctl(cl->fd(), FIONREAD, &avail), 0);
+        if (avail < sent) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    }
+    ASSERT_EQ(avail, sent);
+    auto first = cl->recvResponse();
+    ASSERT_TRUE(first.hasValue()) << first.status().str();
+    EXPECT_EQ(first->id, 101u);
+    ASSERT_TRUE(cl->sendRaw(request(kQueued + 1)).isOk());
+    auto second = cl->recvResponse(); // buffered: no write, no wait
+    ASSERT_TRUE(second.hasValue()) << second.status().str();
+    EXPECT_EQ(second->id, 102u);
+    EXPECT_TRUE(peerHasNothing())
+        << "a buffered response wrote the queued request";
+
+    // Nothing is buffered now: the third call writes the queued request
+    // and blocks until the peer answers it.
+    std::optional<Expected<Response>> third;
+    std::thread waiter([&] { third.emplace(cl->recvResponse()); });
+    const std::vector<std::uint64_t> late = peerReads(1);
+    EXPECT_EQ(late, std::vector<std::uint64_t>{kQueued + 1});
+    if (late.size() == 1) {
+        respond({103});
+    } else {
+        ::shutdown(peer, SHUT_RDWR); // unblock the waiter
+    }
+    waiter.join();
+    ASSERT_TRUE(third.has_value());
+    ASSERT_TRUE(third->hasValue()) << third->status().str();
+    EXPECT_EQ((*third)->id, 103u);
+    ::close(peer);
     ::close(lfd);
 }
 
