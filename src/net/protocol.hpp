@@ -34,6 +34,10 @@
  * rejected (InvalidArgument), and a declared length that disagrees
  * with the actual frame size is Corruption.
  *
+ * Encoding is one pass: an encoder sizes the frame, grows the output
+ * once and writes every field through a pointer (tests/test_net.cpp
+ * pins the bytes of each frame shape).
+ *
  * Decoding is streaming-friendly: decodeRequest / decodeResponse
  * consume at most one frame from a byte window, returning 0 when the
  * window holds only a partial frame (read more and retry) and a
@@ -56,6 +60,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -129,6 +134,7 @@ struct Request
      * Byte-payload PUT value (bytes mode, valid iff `bytes`). OWNED:
      * the server keeps decoded requests past the read buffer's
      * compaction, so the payload never aliases the connection buffer.
+     * A reused Request keeps its capacity (decodeRequest).
      */
     std::vector<std::uint8_t> valueBytes;
 
@@ -167,14 +173,32 @@ struct Response
 /** Append @p req as a complete frame (with CRC iff req.crc) to @p out. */
 void encodeRequest(const Request& req, std::vector<std::uint8_t>& out);
 
+/**
+ * Append @p resp as a complete frame (with CRC iff resp.crc), with
+ * @p valueBytes as the bytes-mode GET payload; resp.valueBytes is not
+ * read. The server encodes straight from its batch results this way.
+ */
+void encodeResponse(const Response& resp,
+                    std::span<const std::uint8_t> valueBytes,
+                    std::vector<std::uint8_t>& out);
+
 /** Append @p resp as a complete frame (with CRC iff resp.crc). */
-void encodeResponse(const Response& resp, std::vector<std::uint8_t>& out);
+inline void
+encodeResponse(const Response& resp, std::vector<std::uint8_t>& out)
+{
+    encodeResponse(resp, resp.valueBytes, out);
+}
 
 /**
  * Try to decode one request frame from the first @p n bytes at @p p.
- * Returns the byte count consumed (> 0, frame complete, *out filled),
- * 0 when the window holds only a partial frame, or a Status for a
- * fatal framing error (see the file comment for the exact codes).
+ * Returns the byte count consumed (> 0, frame complete), 0 when the
+ * window holds only a partial frame, or a Status for a fatal framing
+ * error (see the file comment for the exact codes).
+ *
+ * *out is filled in place, every field of it, so a reused Request
+ * keeps its payload buffer's capacity and carries nothing over from
+ * the frame before. It is untouched unless a whole frame decodes: the
+ * frame is validated before the first write.
  */
 Expected<std::size_t> decodeRequest(const std::uint8_t* p, std::size_t n,
                                     Request* out);

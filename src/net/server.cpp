@@ -265,8 +265,10 @@ ZkvServer::readReady(Conn& c)
 bool
 ZkvServer::hasPendingFor(const Conn& c) const
 {
-    for (const PendingReq& p : pending_) {
-        if (p.fd == c.fd && p.connId == c.id) return true;
+    for (std::size_t i = 0; i < livePending_; i++) {
+        if (pending_[i].fd == c.fd && pending_[i].connId == c.id) {
+            return true;
+        }
     }
     return false;
 }
@@ -282,9 +284,13 @@ ZkvServer::decodeFrames(Conn& c)
             closeConn(c.fd);
             return false;
         }
-        Request req;
+        // Decode straight into the next slot: it is left untouched
+        // unless a whole frame decodes (protocol.hpp).
+        if (livePending_ == pending_.size()) pending_.emplace_back();
+        PendingReq& p = pending_[livePending_];
+        const Request& req = p.req;
         auto consumed_or =
-            decodeRequest(c.in.data() + off, c.in.size() - off, &req);
+            decodeRequest(c.in.data() + off, c.in.size() - off, &p.req);
         if (!consumed_or) {
             // Framing is desynchronized; no resync point exists
             // (protocol.hpp), so the connection is closed.
@@ -294,9 +300,9 @@ ZkvServer::decodeFrames(Conn& c)
         }
         if (*consumed_or == 0) break; // partial frame: read more
         off += *consumed_or;
+        livePending_++;
         bumpCounter(st_.framesIn);
 
-        PendingReq p;
         p.fd = c.fd;
         p.connId = c.id;
         p.ping = req.type == MsgType::Ping;
@@ -304,14 +310,11 @@ ZkvServer::decodeFrames(Conn& c)
         // answered with InvalidArgument instead of being dispatched —
         // the frame parsed fine, only the value representation is wrong
         // (protocol.hpp). ERASE/PING are representation-free.
-        if ((req.type == MsgType::Get || req.type == MsgType::Put) &&
-            req.bytes != store_->bytesMode()) {
-            p.modeErr = true;
-        }
-        if (!p.ping && !p.modeErr) p.shard = store_->shardOf(req.key);
-        if (obs_on) p.enqueueNs = obsNowNs();
-        p.req = std::move(req);
-        pending_.push_back(std::move(p));
+        p.modeErr = (req.type == MsgType::Get || req.type == MsgType::Put) &&
+                    req.bytes != store_->bytesMode();
+        p.shard = !p.ping && !p.modeErr ? store_->shardOf(req.key) : 0;
+        p.enqueueNs = obs_on ? obsNowNs() : 0;
+        p.batchSlot = 0;
     }
     if (off > 0) c.in.erase(c.in.begin(), c.in.begin() + off);
     return true;
@@ -320,81 +323,90 @@ ZkvServer::decodeFrames(Conn& c)
 void
 ZkvServer::dispatchRound()
 {
-    if (pending_.empty()) return;
+    if (livePending_ == 0) return;
 
     // Group this round's store ops by shard and execute each group
-    // under ONE lock acquisition (ZkvStore::runShardBatch).
+    // under ONE lock acquisition (ZkvStore::runShardBatch). Each op
+    // views its slot's payload, which lives until the next decode.
     const std::uint32_t nsh = store_->numShards();
     if (shardOps_.size() != nsh) {
         shardOps_.resize(nsh);
         shardRes_.resize(nsh);
     }
     touched_.clear();
-    for (PendingReq& p : pending_) {
+    for (std::size_t i = 0; i < livePending_; i++) {
+        PendingReq& p = pending_[i];
         if (p.ping || p.modeErr) continue;
-        StoreBatchOp op;
-        op.key = p.req.key;
-        op.value = p.req.value;
-        if (p.req.bytes && p.req.type == MsgType::Put) {
-            op.valueBytes = std::move(p.req.valueBytes);
-        }
-        op.enqueueNs = p.enqueueNs;
+        std::vector<StoreBatchOp>& ops = shardOps_[p.shard];
+        if (ops.empty()) touched_.push_back(p.shard);
+        p.batchSlot = ops.size();
+        StoreBatchOp& op = ops.emplace_back();
         switch (p.req.type) {
           case MsgType::Get: op.kind = ObsOp::Get; break;
           case MsgType::Put: op.kind = ObsOp::Put; break;
           default: op.kind = ObsOp::Erase; break;
         }
-        if (shardOps_[p.shard].empty()) touched_.push_back(p.shard);
-        p.batchSlot = shardOps_[p.shard].size();
-        shardOps_[p.shard].push_back(std::move(op));
+        op.key = p.req.key;
+        op.value = p.req.value;
+        op.valueBytes = p.req.valueBytes;
+        op.enqueueNs = p.enqueueNs;
     }
     for (std::uint32_t s : touched_) {
-        shardRes_[s].resize(shardOps_[s].size());
-        store_->runShardBatch(s, shardOps_[s], shardRes_[s].data());
+        std::vector<StoreBatchResult>& res = shardRes_[s];
+        if (res.size() < shardOps_[s].size()) res.resize(shardOps_[s].size());
+        store_->runShardBatch(s, shardOps_[s], res.data());
         bumpCounter(st_.batches);
         bumpCounter(st_.batchedOps, shardOps_[s].size());
     }
 
     // Serialize responses back in decode order, so pipelined requests
-    // on one connection always complete in order.
-    for (PendingReq& p : pending_) {
-        auto it = conns_.find(p.fd);
-        if (it == conns_.end() || it->second.id != p.connId) continue;
-        Conn& c = it->second;
+    // on one connection always complete in order. Each is encoded
+    // straight from its batch result; a run of requests from one
+    // connection looks the connection up once.
+    Conn* c = nullptr;
+    int runFd = -1;
+    std::uint64_t runId = 0;
+    for (std::size_t i = 0; i < livePending_; i++) {
+        const PendingReq& p = pending_[i];
+        if (p.fd != runFd || p.connId != runId) {
+            runFd = p.fd;
+            runId = p.connId;
+            auto it = conns_.find(p.fd);
+            c = it != conns_.end() && it->second.id == p.connId
+                    ? &it->second
+                    : nullptr;
+        }
+        if (c == nullptr) continue;
 
         Response resp;
         resp.type = p.req.type;
         resp.id = p.req.id;
         resp.crc = p.req.crc; // CRC echo: protect iff the request did
         resp.bytes = p.req.bytes; // mode echo (protocol.hpp)
+        std::span<const std::uint8_t> payload;
         if (p.ping) {
             bumpCounter(st_.pings);
         } else if (p.modeErr) {
             bumpCounter(st_.modeErrors);
             resp.status = ErrorCode::InvalidArgument;
         } else {
-            StoreBatchResult& r = shardRes_[p.shard][p.batchSlot];
+            const StoreBatchResult& r = shardRes_[p.shard][p.batchSlot];
             resp.status = r.code;
             if (r.hit) resp.rflags |= kRespFlagHit;
             if (r.inserted) resp.rflags |= kRespFlagInserted;
             if (r.evicted) resp.rflags |= kRespFlagEvicted;
             resp.value = r.value;
-            if (p.req.bytes && p.req.type == MsgType::Get) {
-                resp.valueBytes = std::move(r.valueBytes);
-            }
+            payload = r.valueBytes;
             resp.candidates = r.candidates;
             resp.relocations = r.relocations;
             resp.evictedKey = r.evictedKey;
             resp.evictedValue = r.evictedValue;
         }
-        encodeResponse(resp, c.out);
+        encodeResponse(resp, payload, c->out);
         bumpCounter(st_.framesOut);
     }
-    pending_.clear();
-    for (std::uint32_t s : touched_) {
-        shardOps_[s].clear();
-        shardRes_[s].clear();
-    }
+    livePending_ = 0;
+    for (std::uint32_t s : touched_) shardOps_[s].clear();
 }
 
 bool

@@ -17,6 +17,18 @@
  * always complete in order — and flushed with at most one write()
  * per connection per round, amortizing syscalls the same way.
  *
+ * A steady-state round allocates nothing: requests decode into slots
+ * that outlive the round, each batch op views its slot's payload, and
+ * each response is encoded straight from its batch result. The price
+ * is memory kept for the server's lifetime and sized by the largest
+ * round it has seen: about 1 KB per frame of that round. That is the
+ * slot, op and result structs (216 B, kept before too), the slot's
+ * payload buffer (up to 224 B), the result's decompress buffer (the
+ * store's maxBytes) and 260 B of the store's compress scratch per op
+ * of the largest shard batch. A round reads each readable connection
+ * until a short read, so an open-loop burst can make one round far
+ * larger than a client's pipeline window.
+ *
  * Poll before park: after a round that saw events, the loop calls
  * epoll_wait with a zero timeout until kPollBudgetNs passes with no
  * event, and only then blocks. A client that sends its next request
@@ -224,7 +236,8 @@ class ZkvServer
         bool sawBytes = false;   ///< read progress this drain round
     };
 
-    /** One decoded request awaiting dispatch this round. */
+    /** One decoded request awaiting dispatch this round. A slot is
+     *  reused by later rounds, so decodeFrames sets every field. */
     struct PendingReq
     {
         int fd = -1;
@@ -243,11 +256,13 @@ class ZkvServer
     void acceptReady();
     /** Drain readable bytes; false = connection died (and was closed). */
     bool readReady(Conn& c);
-    /** Decode frames into pending_; false = framing error (conn closed). */
+    /** Decode frames into the next pending_ slots; false = framing
+     *  error (conn closed). */
     bool decodeFrames(Conn& c);
     /** Does @p c still have decoded-but-undispatched requests? */
     bool hasPendingFor(const Conn& c) const;
-    /** Execute pending_ grouped by shard; append responses in order. */
+    /** Execute the live slots grouped by shard; append responses in
+     *  order. */
     void dispatchRound();
     /** Flush c.out; false = connection died (and was closed). */
     bool flushOut(Conn& c);
@@ -265,9 +280,13 @@ class ZkvServer
 
     std::unordered_map<int, Conn> conns_;
     std::uint64_t nextConnId_ = 1;
-    std::vector<PendingReq> pending_; ///< this round's decoded requests
+    /** Request slots; the first livePending_ hold this round's
+     *  decoded requests. Slots and their payload buffers are kept. */
+    std::vector<PendingReq> pending_;
+    std::size_t livePending_ = 0;
 
-    /** Per-shard dispatch scratch, reused across rounds. */
+    /** Per-shard dispatch scratch, reused across rounds. The results
+     *  are never shrunk, so their payload buffers are kept too. */
     std::vector<std::vector<StoreBatchOp>> shardOps_;
     std::vector<std::vector<StoreBatchResult>> shardRes_;
     std::vector<std::uint32_t> touched_; ///< shards with ops this round

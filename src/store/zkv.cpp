@@ -582,6 +582,23 @@ fail(StoreBatchResult& res, Status s, Status* why)
     if (why != nullptr && why->isOk()) *why = std::move(s);
 }
 
+/** One compressed put payload, packed before the shard lock. */
+struct Packed
+{
+    std::uint32_t len = 0;
+    std::array<std::uint8_t, kZkvMaxValueBytes + 32> bytes; // + header
+};
+
+/** @p n slots for a multi-op batch's packed payloads: a per-thread
+ *  scratch that only grows, so a stream of batches allocates nothing. */
+Packed*
+packedScratch(std::size_t n)
+{
+    thread_local std::vector<Packed> scratch;
+    if (scratch.size() < n) scratch.resize(n);
+    return scratch.data();
+}
+
 /** A one-op put batch's outcome as put()/putBytes() report it. */
 Expected<PutResult>
 putResultOf(Status& why, const StoreBatchResult& r)
@@ -913,15 +930,9 @@ ZkvStore::runBatch(std::uint32_t shard, std::span<const StoreBatchOp> ops,
 
     // Bytes-mode put payloads are compressed before the lock (codecs are
     // stateless), one op per slot of one buffer: on the stack for a
-    // one-op batch, one heap block for a larger one. Under the lock,
-    // commit() copies each into the shard's slab.
-    struct Packed
-    {
-        std::uint32_t len = 0;
-        std::array<std::uint8_t, kZkvMaxValueBytes + 32> bytes; // + header
-    };
+    // one-op batch, the thread's scratch for a larger one. Under the
+    // lock, commit() copies each into the shard's slab.
     Packed one;
-    std::unique_ptr<Packed[]> many;
     Packed* packed = nullptr; // per op, once the batch holds a put
     const auto stored = [&](std::size_t i) {
         return packed != nullptr ? std::span<const std::uint8_t>(
@@ -932,10 +943,7 @@ ZkvStore::runBatch(std::uint32_t shard, std::span<const StoreBatchOp> ops,
         const StoreBatchOp& op = ops[i];
         if (op.kind != ObsOp::Put) continue;
         if (packed == nullptr) {
-            if (ops.size() > 1) {
-                many = std::make_unique_for_overwrite<Packed[]>(ops.size());
-            }
-            packed = many ? many.get() : &one;
+            packed = ops.size() > 1 ? packedScratch(ops.size()) : &one;
         }
         // putStep fails oversize payloads, uncompressed.
         if (op.valueBytes.size() > cfg_.value.maxBytes) continue;
@@ -997,8 +1005,14 @@ ZkvStore::runShardBatch(std::uint32_t shard,
                         std::span<const StoreBatchOp> ops,
                         StoreBatchResult* out)
 {
-    // Callers may reuse result buffers; per-op codes say the rest.
-    for (std::size_t i = 0; i < ops.size(); i++) out[i] = StoreBatchResult{};
+    // Callers may reuse result buffers; per-op codes say the rest. A
+    // reset keeps the payload buffer, so a get hit fills it in place.
+    for (std::size_t i = 0; i < ops.size(); i++) {
+        std::vector<std::uint8_t> bytes = std::move(out[i].valueBytes);
+        bytes.clear();
+        out[i] = StoreBatchResult{};
+        out[i].valueBytes = std::move(bytes);
+    }
     obsEnabled_ ? runBatch<SpanProbe>(shard, ops, out, nullptr)
                 : runBatch<NoProbe>(shard, ops, out, nullptr);
 }
@@ -1012,7 +1026,7 @@ ZkvStore::runOne(ObsOp kind, std::uint64_t key, StoreBatchResult& res,
     op.kind = kind;
     op.key = key;
     op.value = value;
-    op.valueBytes.assign(bytes.begin(), bytes.end());
+    op.valueBytes = bytes;
     const std::uint32_t shard = shardOf(key);
     obsEnabled_ ? runBatch<SpanProbe>(shard, {&op, 1}, &res, why)
                 : runBatch<NoProbe>(shard, {&op, 1}, &res, why);

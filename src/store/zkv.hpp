@@ -268,8 +268,13 @@ struct StoreBatchOp
     std::uint64_t key = 0;
     std::uint64_t value = 0; ///< puts only (fixed-u64 stores)
 
-    /** Put payload on a bytes-mode store; `value` is ignored there. */
-    std::vector<std::uint8_t> valueBytes;
+    /**
+     * Put payload on a bytes-mode store; `value` is ignored there. A
+     * VIEW: the caller keeps the bytes alive until the batch returns.
+     * A span binds to a temporary vector without a warning, so assign
+     * it from an lvalue that outlives the batch.
+     */
+    std::span<const std::uint8_t> valueBytes;
 
     /**
      * When observability is enabled, the timestamp (obsNowNs) the
@@ -291,7 +296,9 @@ struct StoreBatchResult
 
     /** Get result on a bytes-mode store (valid iff hit); decompressed
      *  before the batch returns, so a decode failure surfaces as
-     *  code = Corruption with the payload cleared, never torn bytes. */
+     *  code = Corruption with the payload cleared, never torn bytes.
+     *  runShardBatch keeps its capacity, so a reused result
+     *  decompresses into a buffer that already exists. */
     std::vector<std::uint8_t> valueBytes;
 
     std::uint64_t evictedKey = 0;
@@ -666,7 +673,9 @@ class ZkvStore
     /**
      * Execute @p ops — all of which must map to @p shard (the caller
      * groups by shardOf) — in order, under a single acquisition of the
-     * shard's lock, writing ops[i]'s outcome to out[i]. Semantically
+     * shard's lock, writing ops[i]'s outcome to out[i]. Each out[i] is
+     * reset first but keeps its valueBytes capacity, and the payloads
+     * the ops view must live until the call returns. Semantically
      * identical to issuing the ops one by one (same stats, same fault
      * sites, same walk decisions: the per-shard eviction sequence is a
      * pure function of the key order either way); per-op failures

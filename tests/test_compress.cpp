@@ -16,15 +16,19 @@
  *  - zkv bytes mode: byte-exact round trips, in-place updates,
  *    evictions, config validation of every rejected combination,
  *    decode-failure containment (Corruption, never a torn value),
- *    stats accounting, and multithreaded read-your-writes through the
- *    loadgen's deterministic payload scheme.
+ *    stats accounting, warm puts and batches that allocate nothing
+ *    (counted by this file's replacement of global operator new), and
+ *    multithreaded read-your-writes through the loadgen's
+ *    deterministic payload scheme.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +42,63 @@
 #include "store/loadgen.hpp"
 #include "store/zkv.hpp"
 #include "trace/generator.hpp"
+
+// Every global operator new in this binary counts into the calling
+// thread's tally, so a test can assert that a stretch of its own
+// thread's work allocated nothing.
+namespace {
+thread_local std::uint64_t tlsNews = 0;
+
+void*
+countedNew(std::size_t n, std::size_t align)
+{
+    tlsNews++;
+    const std::size_t size = n == 0 ? 1 : n;
+    // aligned_alloc wants a size that is a multiple of the alignment.
+    const std::size_t rounded = (size + align - 1) & ~(align - 1);
+    void* p = align <= alignof(std::max_align_t)
+                  ? std::malloc(size)
+                  : std::aligned_alloc(align, rounded);
+    if (p == nullptr) throw std::bad_alloc();
+    return p;
+}
+} // namespace
+
+void*
+operator new(std::size_t n)
+{
+    return countedNew(n, 0);
+}
+
+void*
+operator new(std::size_t n, std::align_val_t a)
+{
+    return countedNew(n, static_cast<std::size_t>(a));
+}
+
+void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
 
 namespace zc {
 namespace {
@@ -637,6 +698,85 @@ TEST(ZkvBytes, AnotherThreadsOverwritesReuseTheFreedSlots)
     EXPECT_LE(overwritten.slabBytes - filled.slabBytes,
               classes * kZkvSlabBytes);
     EXPECT_EQ(overwritten.residentStoredBytes, filled.residentStoredBytes);
+}
+
+/**
+ * Warm bytes-mode ops make no heap allocation on the calling thread: a
+ * single-op putBytes compresses straight from the caller's span, and
+ * runShardBatch reuses its results' payload buffers and the thread's
+ * packing scratch. Each overwrite has its key's length, so it reuses
+ * its slab slot.
+ */
+TEST(ZkvBytes, WarmPutsAndBatchesAllocateNothing)
+{
+    auto store = ZkvStore::create(bytesConfig());
+    ASSERT_TRUE(store.hasValue());
+    ZkvStore& kv = **store;
+    Pcg32 rng(3);
+    std::vector<std::uint8_t> payload(100);
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next64());
+
+    for (std::uint64_t key = 1; key <= 16; key++) {
+        ASSERT_TRUE(kv.putBytes(key, payload).hasValue());
+    }
+    std::uint64_t failed = 0;
+    const std::uint64_t putNews = tlsNews;
+    for (std::uint64_t i = 0; i < 1000; i++) {
+        failed += kv.putBytes(1 + i % 16, payload).hasValue() ? 0 : 1;
+    }
+    const std::uint64_t putAllocs = tlsNews - putNews;
+    EXPECT_EQ(failed, 0u);
+    EXPECT_EQ(putAllocs, 0u) << "allocations in 1,000 warm putBytes";
+
+    // A 16-op batch on shard 0: puts, get hits, and an erase that the
+    // next op undoes, over op and result vectors the loop reuses.
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t key = 100; keys.size() < 8; key++) {
+        if (kv.shardOf(key) == 0) keys.push_back(key);
+    }
+    for (std::uint64_t key : keys) {
+        ASSERT_TRUE(kv.putBytes(key, payload).hasValue());
+    }
+    struct Step
+    {
+        ObsOp kind;
+        std::size_t key;
+    };
+    const Step steps[] = {
+        {ObsOp::Put, 0}, {ObsOp::Get, 0}, {ObsOp::Get, 1},   {ObsOp::Put, 1},
+        {ObsOp::Get, 2}, {ObsOp::Get, 3}, {ObsOp::Erase, 4}, {ObsOp::Put, 4},
+        {ObsOp::Get, 4}, {ObsOp::Get, 5}, {ObsOp::Put, 5},   {ObsOp::Get, 6},
+        {ObsOp::Get, 7}, {ObsOp::Put, 6}, {ObsOp::Get, 0},   {ObsOp::Put, 7},
+    };
+    std::vector<StoreBatchOp> ops(std::size(steps));
+    for (std::size_t i = 0; i < ops.size(); i++) {
+        ops[i].kind = steps[i].kind;
+        ops[i].key = keys[steps[i].key];
+        if (ops[i].kind == ObsOp::Put) ops[i].valueBytes = payload;
+    }
+    std::vector<StoreBatchResult> out(ops.size());
+    const auto batch = [&] { kv.runShardBatch(0, ops, out.data()); };
+    batch(); // warm-up: the results' buffers and the packing scratch
+    std::uint64_t gets = 0;
+    std::uint64_t hits = 0;
+    const std::uint64_t batchNews = tlsNews;
+    for (int r = 0; r < 100; r++) {
+        batch();
+        for (std::size_t i = 0; i < ops.size(); i++) {
+            failed += out[i].code == ErrorCode::Ok ? 0 : 1;
+            gets += ops[i].kind == ObsOp::Get ? 1 : 0;
+            hits += ops[i].kind == ObsOp::Get && out[i].hit ? 1 : 0;
+        }
+    }
+    const std::uint64_t batchAllocs = tlsNews - batchNews;
+    EXPECT_EQ(failed, 0u);
+    EXPECT_EQ(batchAllocs, 0u) << "allocations in 100 warm 16-op batches";
+    EXPECT_EQ(hits, gets);
+    for (std::size_t i = 0; i < ops.size(); i++) {
+        if (ops[i].kind == ObsOp::Get) {
+            EXPECT_EQ(out[i].valueBytes, payload) << "op " << i;
+        }
+    }
 }
 
 /**

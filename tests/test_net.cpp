@@ -28,7 +28,10 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection.hpp"
@@ -244,6 +247,189 @@ TEST(NetProtocol, PartialWindowsAndBackToBackFrames)
 }
 
 // ---------------------------------------------------------------------
+// Protocol: the bytes on the wire.
+
+/** @p hex as bytes; spaces, which separate the fields, are skipped. */
+std::vector<std::uint8_t>
+fromHex(std::string_view hex)
+{
+    const auto nibble = [](char c) {
+        return static_cast<std::uint8_t>(c <= '9' ? c - '0' : c - 'a' + 10);
+    };
+    std::vector<std::uint8_t> out;
+    for (std::size_t i = 0; i < hex.size(); i++) {
+        if (hex[i] == ' ') continue;
+        out.push_back(static_cast<std::uint8_t>(nibble(hex[i]) << 4 |
+                                                nibble(hex[i + 1])));
+        i++;
+    }
+    return out;
+}
+
+/** Every field of a request or response, for whole-value checks. */
+auto
+fields(const Request& r)
+{
+    return std::tuple(static_cast<int>(r.type), r.id, r.key, r.value,
+                      r.valueBytes, r.bytes, r.crc);
+}
+
+auto
+fields(const Response& r)
+{
+    return std::tuple(static_cast<int>(r.type), r.id,
+                      static_cast<int>(r.status), r.rflags, r.value,
+                      r.valueBytes, r.candidates, r.relocations,
+                      r.evictedKey, r.evictedValue, r.bytes, r.crc);
+}
+
+/**
+ * One frame of each shape, with and without CRC, against bytes written
+ * from the layout in docs/server.md: little-endian, `len` counts the
+ * body after it, and the CRC-32 covers header and payload. Spaces in
+ * the literals separate prefix, header, id, payload fields and CRC. A
+ * round trip alone would pass a mistake that the encoder and the
+ * decoder make the same way.
+ */
+TEST(NetProtocol, EncodersEmitTheDocumentedBytes)
+{
+    constexpr std::uint64_t kId = 0x0102030405060708ull;
+    constexpr std::uint64_t kKey = 0x1122334455667788ull;
+    constexpr std::uint64_t kValue = 0x99aabbccddeeff00ull;
+
+    struct ReqCase
+    {
+        Request req;
+        const char* plain;
+        const char* crc;
+    };
+    const ReqCase reqs[] = {
+        {{.type = MsgType::Get, .id = kId, .key = kKey, .valueBytes = {}},
+         "14000000 5a010000 0807060504030201 8877665544332211",
+         "18000000 5a010001 0807060504030201 8877665544332211 2ca43921"},
+        {{.type = MsgType::Put,
+          .id = kId,
+          .key = kKey,
+          .value = kValue,
+          .valueBytes = {}},
+         "1c000000 5a010100 0807060504030201 8877665544332211 "
+         "00ffeeddccbbaa99",
+         "20000000 5a010101 0807060504030201 8877665544332211 "
+         "00ffeeddccbbaa99 ad1d60a7"},
+        {{.type = MsgType::Put,
+          .id = kId,
+          .key = kKey,
+          .valueBytes = {0xde, 0xad, 0xbe, 0xef, 0x01},
+          .bytes = true},
+         "1b000000 5a010104 0807060504030201 8877665544332211 0500 "
+         "deadbeef01",
+         "1f000000 5a010105 0807060504030201 8877665544332211 0500 "
+         "deadbeef01 7be013d5"},
+        {{.type = MsgType::Erase, .id = kId, .key = kKey, .valueBytes = {}},
+         "14000000 5a010200 0807060504030201 8877665544332211",
+         "18000000 5a010201 0807060504030201 8877665544332211 afcfed24"},
+        {{.type = MsgType::Ping, .id = kId, .valueBytes = {}},
+         "0c000000 5a010300 0807060504030201",
+         "10000000 5a010301 0807060504030201 ce36b550"},
+    };
+    for (const ReqCase& c : reqs) {
+        for (bool crc : {false, true}) {
+            Request want = c.req;
+            want.crc = crc;
+            const std::vector<std::uint8_t> wire =
+                fromHex(crc ? c.crc : c.plain);
+            SCOPED_TRACE(std::string(msgTypeName(want.type)) + " request" +
+                         (want.bytes ? ", bytes" : "") +
+                         (crc ? ", crc" : ""));
+            std::vector<std::uint8_t> buf;
+            encodeRequest(want, buf);
+            EXPECT_EQ(buf, wire);
+            Request got;
+            auto n = decodeRequest(wire.data(), wire.size(), &got);
+            ASSERT_TRUE(n.hasValue()) << n.status().str();
+            EXPECT_EQ(*n, wire.size());
+            EXPECT_EQ(fields(got), fields(want));
+        }
+    }
+
+    struct RespCase
+    {
+        Response resp;
+        const char* plain;
+        const char* crc;
+    };
+    const RespCase resps[] = {
+        {{.type = MsgType::Get,
+          .id = kId,
+          .rflags = kRespFlagHit,
+          .value = kValue,
+          .valueBytes = {}},
+         "16000000 5a010002 0807060504030201 00 01 00ffeeddccbbaa99",
+         "1a000000 5a010003 0807060504030201 00 01 00ffeeddccbbaa99 "
+         "d635c44e"},
+        {{.type = MsgType::Get,
+          .id = kId,
+          .rflags = kRespFlagHit,
+          .valueBytes = {0x0a, 0x0b, 0x0c},
+          .bytes = true},
+         "13000000 5a010006 0807060504030201 00 01 0300 0a0b0c",
+         "17000000 5a010007 0807060504030201 00 01 0300 0a0b0c fddc65ab"},
+        {{.type = MsgType::Get, .id = kId, .valueBytes = {}, .bytes = true},
+         "10000000 5a010006 0807060504030201 00 00 0000",
+         "14000000 5a010007 0807060504030201 00 00 0000 042e6db9"},
+        {{.type = MsgType::Put,
+          .id = kId,
+          .rflags = kRespFlagInserted | kRespFlagEvicted,
+          .valueBytes = {},
+          .candidates = 52,
+          .relocations = 3,
+          .evictedKey = 0x0123456789abcdefull,
+          .evictedValue = 0xfedcba9876543210ull},
+         "26000000 5a010102 0807060504030201 00 06 34000000 03000000 "
+         "efcdab8967452301 1032547698badcfe",
+         "2a000000 5a010103 0807060504030201 00 06 34000000 03000000 "
+         "efcdab8967452301 1032547698badcfe a29022f1"},
+        {{.type = MsgType::Erase,
+          .id = kId,
+          .rflags = kRespFlagHit,
+          .valueBytes = {}},
+         "0e000000 5a010202 0807060504030201 00 01",
+         "12000000 5a010203 0807060504030201 00 01 2be8d46f"},
+        {{.type = MsgType::Ping, .id = kId, .valueBytes = {}},
+         "0e000000 5a010302 0807060504030201 00 00",
+         "12000000 5a010303 0807060504030201 00 00 d2947683"},
+        // An error response stops after its status and flag bytes.
+        {{.type = MsgType::Put,
+          .id = kId,
+          .status = ErrorCode::ResourceExhausted,
+          .valueBytes = {}},
+         "0e000000 5a010102 0807060504030201 07 00",
+         "12000000 5a010103 0807060504030201 07 00 8a9c0c20"},
+    };
+    for (const RespCase& c : resps) {
+        for (bool crc : {false, true}) {
+            Response want = c.resp;
+            want.crc = crc;
+            const std::vector<std::uint8_t> wire =
+                fromHex(crc ? c.crc : c.plain);
+            SCOPED_TRACE(std::string(msgTypeName(want.type)) +
+                         " response, status " +
+                         errorCodeName(want.status) +
+                         (want.bytes ? ", bytes" : "") +
+                         (crc ? ", crc" : ""));
+            std::vector<std::uint8_t> buf;
+            encodeResponse(want, buf);
+            EXPECT_EQ(buf, wire);
+            Response got;
+            auto n = decodeResponse(wire.data(), wire.size(), &got);
+            ASSERT_TRUE(n.hasValue()) << n.status().str();
+            EXPECT_EQ(*n, wire.size());
+            EXPECT_EQ(fields(got), fields(want));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Protocol: exact error codes for malformed frames.
 
 std::vector<std::uint8_t>
@@ -427,6 +613,108 @@ TEST(NetProtocolBytes, LengthBodyMismatchIsCorruption)
     auto n = decodeRequest(buf.data(), buf.size(), &got);
     ASSERT_FALSE(n.hasValue());
     EXPECT_EQ(n.status().code(), ErrorCode::Corruption);
+}
+
+/**
+ * decodeRequest fills *out in place. A frame that decodes rewrites
+ * every field, so a reused Request carries nothing over from the frame
+ * before and keeps its payload buffer; a partial window or a bad frame
+ * writes nothing.
+ */
+TEST(NetProtocol, DecodeIntoAReusedRequestLeavesNothingBehind)
+{
+    const Request seq[] = {
+        {.type = MsgType::Put,
+         .id = 1,
+         .key = 11,
+         .valueBytes = std::vector<std::uint8_t>(100, 0xab),
+         .bytes = true,
+         .crc = true},
+        {.type = MsgType::Get, .id = 2, .key = 22, .valueBytes = {}},
+        {.type = MsgType::Put,
+         .id = 3,
+         .key = 33,
+         .value = 44,
+         .valueBytes = {},
+         .crc = true},
+        {.type = MsgType::Ping, .id = 4, .valueBytes = {}},
+    };
+    Request got;
+    std::size_t capacity = 0;
+    for (const Request& want : seq) {
+        std::vector<std::uint8_t> buf;
+        encodeRequest(want, buf);
+        auto n = decodeRequest(buf.data(), buf.size(), &got);
+        ASSERT_TRUE(n.hasValue()) << n.status().str();
+        EXPECT_EQ(*n, buf.size());
+        EXPECT_EQ(fields(got), fields(want))
+            << msgTypeName(want.type) << " id " << want.id;
+        EXPECT_GE(got.valueBytes.capacity(), capacity);
+        capacity = got.valueBytes.capacity();
+    }
+
+    // The malformed frames of NetProtocolErrors and NetProtocolBytes.
+    std::vector<std::pair<const char*, std::vector<std::uint8_t>>> bad;
+    std::vector<std::uint8_t> frame = goodFrame();
+    frame[4] = 0x00;
+    bad.emplace_back("bad magic", frame);
+    frame = goodFrame();
+    frame[5] = kProtoVersion + 1;
+    bad.emplace_back("unknown version", frame);
+    frame = goodFrame();
+    frame[6] = 0x7f;
+    bad.emplace_back("unknown type", frame);
+    frame.assign(4 + kMaxFrameBody + 1, 0);
+    frame[0] = static_cast<std::uint8_t>(kMaxFrameBody + 1);
+    frame[1] = static_cast<std::uint8_t>((kMaxFrameBody + 1) >> 8);
+    bad.emplace_back("oversized frame", frame);
+    frame.assign(4 + 4, 0);
+    frame[0] = 4;
+    bad.emplace_back("body shorter than the header", frame);
+    frame = goodFrame();
+    frame[0] = static_cast<std::uint8_t>(frame[0] - 1);
+    frame.pop_back();
+    bad.emplace_back("payload length mismatch", frame);
+    frame = goodFrame(/*crc=*/true);
+    frame.back() ^= 0xff;
+    bad.emplace_back("CRC byte flipped", frame);
+    frame = goodFrame(/*crc=*/true);
+    frame[16] ^= 0x01;
+    bad.emplace_back("payload byte under the CRC flipped", frame);
+    const Request bytesPut{.type = MsgType::Put,
+                           .id = 1,
+                           .key = 2,
+                           .valueBytes = std::vector<std::uint8_t>(8, 0xcd),
+                           .bytes = true};
+    const std::size_t vlen_off = 4 + kHeaderBytes + 8;
+    frame.clear();
+    encodeRequest(bytesPut, frame);
+    frame[vlen_off] = 0xff;
+    frame[vlen_off + 1] = 0xff;
+    bad.emplace_back("bytes length over the cap", frame);
+    frame.clear();
+    encodeRequest(bytesPut, frame);
+    frame[vlen_off] = 9;
+    bad.emplace_back("bytes length past the body", frame);
+
+    // Hold a frame whose fields all differ from the bad ones' defaults.
+    std::vector<std::uint8_t> held_frame;
+    encodeRequest(seq[0], held_frame);
+    ASSERT_TRUE(
+        decodeRequest(held_frame.data(), held_frame.size(), &got).hasValue());
+    const auto held = fields(got);
+    const std::vector<std::uint8_t> whole = goodFrame(/*crc=*/true);
+    for (std::size_t n = 0; n < whole.size(); n++) {
+        auto r = decodeRequest(whole.data(), n, &got);
+        ASSERT_TRUE(r.hasValue()) << "prefix " << n;
+        EXPECT_EQ(*r, 0u) << "prefix " << n;
+        EXPECT_EQ(fields(got), held) << "prefix " << n;
+    }
+    for (const auto& [what, bytes] : bad) {
+        auto r = decodeRequest(bytes.data(), bytes.size(), &got);
+        EXPECT_FALSE(r.hasValue()) << what;
+        EXPECT_EQ(fields(got), held) << what;
+    }
 }
 
 // ---------------------------------------------------------------------
