@@ -1,7 +1,8 @@
 /**
  * @file
- * ZkvClient implementation: blocking connect/send/recv over the zkv
- * wire protocol (design notes in client.hpp, docs/server.md).
+ * ZkvClient implementation: connect/send/recv over the zkv wire
+ * protocol, polling before it blocks (design notes in client.hpp,
+ * docs/server.md).
  */
 
 #include "net/client.hpp"
@@ -9,13 +10,17 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <thread>
+
+#include "obs/trace_event.hpp"
 
 namespace zc::net {
 
@@ -26,6 +31,15 @@ errnoStatus(const std::string& what)
 {
     return Status::ioError("client: " + what + ": " +
                            std::strerror(errno));
+}
+
+/** May the calling thread run on two or more CPUs? */
+bool
+twoOrMoreCpus()
+{
+    cpu_set_t allowed;
+    return ::sched_getaffinity(0, sizeof allowed, &allowed) == 0 &&
+           CPU_COUNT(&allowed) >= 2;
 }
 
 } // namespace
@@ -78,6 +92,7 @@ ZkvClient::connect(const ZkvClientConfig& cfg)
     auto cli = std::unique_ptr<ZkvClient>(new ZkvClient());
     cli->fd_ = fd;
     cli->crc_ = cfg.crc;
+    cli->poll_ = twoOrMoreCpus();
     return cli;
 }
 
@@ -95,6 +110,7 @@ ZkvClient::flush()
     while (sent < wbuf_.size()) {
         ssize_t n = ::send(fd_, wbuf_.data() + sent,
                            wbuf_.size() - sent, MSG_NOSIGNAL);
+        st_.sendCalls++;
         if (n < 0) {
             if (errno == EINTR) continue;
             Status s = errnoStatus("send");
@@ -108,9 +124,47 @@ ZkvClient::flush()
     return Status::ok();
 }
 
+ssize_t
+ZkvClient::readSome(std::uint8_t* buf, std::size_t len,
+                    std::uint64_t& pollUntilNs)
+{
+    if (pollUntilNs == 0) {
+        const bool skip = pollSkip_ > 0;
+        if (skip) pollSkip_--;
+        pollUntilNs = poll_ && !skip ? obsNowNs() + kPollBudgetNs : 1;
+    }
+    bool foundNothing = false;
+    while (obsNowNs() < pollUntilNs) {
+        ssize_t n = ::recv(fd_, buf, len, MSG_DONTWAIT);
+        st_.recvCalls++;
+        if (n >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+            if (foundNothing) pollBackoff_ = 1; // the poll paid
+            return n;
+        }
+        st_.polls++;
+        foundNothing = true;
+    }
+    if (pollUntilNs != 1) {
+        // The poll ran out. If the peer shares this thread's CPU, every
+        // poll will: the next waits block at once, 1, 2, 4, ... up to
+        // kMaxPollSkip of them while each poll in between runs out.
+        pollSkip_ = pollBackoff_;
+        pollBackoff_ = std::min(2 * pollBackoff_, kMaxPollSkip);
+        pollUntilNs = 1;
+    }
+    const std::uint64_t t0 = obsNowNs();
+    ssize_t n = ::recv(fd_, buf, len, 0);
+    st_.recvCalls++;
+    st_.parks++;
+    // max: TSC reads on two cores may disagree by a few ticks.
+    st_.parkedNs += std::max(obsNowNs(), t0) - t0;
+    return n;
+}
+
 Expected<Response>
 ZkvClient::recvResponse()
 {
+    std::uint64_t pollUntilNs = 0;
     for (;;) {
         if (rpos_ < rbuf_.size()) {
             Response resp;
@@ -127,11 +181,11 @@ ZkvClient::recvResponse()
         rbuf_.erase(rbuf_.begin(),
                     rbuf_.begin() + static_cast<std::ptrdiff_t>(rpos_));
         rpos_ = 0;
-        // About to block: whatever is queued goes out first, so the
+        // About to wait: whatever is queued goes out first, so the
         // response we wait for can be the answer to it.
         if (Status s = flush(); !s.isOk()) return s;
         std::uint8_t buf[4096];
-        ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+        ssize_t n = readSome(buf, sizeof(buf), pollUntilNs);
         if (n == 0) return truncatedAtEof(rbuf_.size());
         if (n < 0) {
             if (errno == EINTR) continue;

@@ -89,6 +89,16 @@ inline constexpr std::size_t kMaxValueBytes = 224;
 static_assert(kHeaderBytes + 8 + 2 + kMaxValueBytes + 4 <= kMaxFrameBody,
               "a max-size bytes PUT request must fit one frame");
 
+/**
+ * How long an endpoint that expects bytes polls for them before it
+ * blocks: the serve loop after its last event (ZkvServer::serve), a
+ * client after it has written its queue (ZkvClient::recvResponse). It
+ * must exceed the gap between a response leaving the server and a lone
+ * client's next request arriving; the value and the gap it was chosen
+ * from are in docs/server.md.
+ */
+inline constexpr std::uint64_t kPollBudgetNs = 50'000;
+
 /** Frame flag bits. */
 enum : std::uint8_t {
     kFrameFlagCrc = 1u << 0,   ///< body ends with a CRC-32

@@ -533,14 +533,14 @@ ZkvServer::serve()
                 acceptReady();
                 continue;
             }
+            // EPOLLOUT only wakes the loop. The one flush per round,
+            // after dispatchRound, writes every connection with output;
+            // flushing here too could close a read-closed connection
+            // whose last requests are still pending.
             auto it = conns_.find(fd);
             if (it == conns_.end()) continue;
             if ((evs[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
-                if (!readReady(it->second)) continue;
-            }
-            if ((evs[i].events & EPOLLOUT) != 0) {
-                it = conns_.find(fd);
-                if (it != conns_.end()) (void)flushOut(it->second);
+                (void)readReady(it->second);
             }
         }
 

@@ -30,11 +30,11 @@
  * larger than a client's pipeline window.
  *
  * Poll before park: after a round that saw events, the loop calls
- * epoll_wait with a zero timeout until kPollBudgetNs passes with no
- * event, and only then blocks. A client that sends its next request
- * within the budget of its last response does not wait for the loop
- * thread to be woken. The stats count every epoll_wait as a poll or
- * a park, and the time spent parked (docs/server.md).
+ * epoll_wait with a zero timeout until kPollBudgetNs (protocol.hpp)
+ * passes with no event, and only then blocks. A client that sends its
+ * next request within the budget of its last response does not wait
+ * for the loop thread to be woken. The stats count every epoll_wait as
+ * a poll or a park, and the time spent parked (docs/server.md).
  *
  * Shutdown: shutdown() (or the doorbell) closes the listener and
  * enters drain mode: buffered and already-readable requests are still
@@ -177,14 +177,6 @@ inline constexpr CounterField<ZkvServerStats> kServerCounters[] = {
 class ZkvServer
 {
   public:
-    /**
-     * How long the loop keeps polling after its last event before it
-     * parks. It must exceed the gap between a response leaving the
-     * server and a lone client's next request arriving; the value and
-     * the gap it was chosen from are in docs/server.md.
-     */
-    static constexpr std::uint64_t kPollBudgetNs = 50'000;
-
     /** Build the store, bind + listen (resolving an ephemeral port),
      *  and set up epoll; serve() then runs the loop. */
     static Expected<std::unique_ptr<ZkvServer>>

@@ -6,10 +6,12 @@
  * streaming decode over split byte windows; an end-to-end localhost
  * server whose read-your-writes view matches a direct ZkvStore built
  * from the identical config; pipelined per-connection ordering;
- * graceful-drain delivery of in-flight responses; the loop's poll and
- * park rounds; a client decoding many responses per read and writing
- * its queued requests only when it waits; and the net.* fault sites
- * (docs/robustness.md) surfacing as structured failures, not crashes.
+ * graceful-drain delivery of in-flight responses and every response
+ * to a half-closed peer; the loop's poll and park rounds; a client
+ * decoding many responses per read, writing its queued requests only
+ * when it waits, and polling before it blocks unless it was connected
+ * on one CPU; and the net.* fault sites (docs/robustness.md) surfacing
+ * as structured failures, not crashes.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +19,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <pthread.h>
+#include <sched.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -1074,8 +1079,7 @@ TEST(NetServer, RequestAfterThePollBudgetWakesAParkedLoop)
     const ZkvServerStats busy = f.server().stats();
 
     constexpr auto kIdle = std::chrono::milliseconds(20);
-    static_assert(kIdle > std::chrono::nanoseconds(
-                              100 * ZkvServer::kPollBudgetNs));
+    static_assert(kIdle > std::chrono::nanoseconds(100 * kPollBudgetNs));
     std::this_thread::sleep_for(kIdle);
 
     auto hit = cl->get(1);
@@ -1128,6 +1132,53 @@ TEST(NetServer, ShutdownInThePollWindowDrainsBeforeTheDeadline)
     EXPECT_EQ(st.drained, 1u);
     EXPECT_EQ(st.drainAborted, 0u);
     EXPECT_EQ(st.polls + st.parks, st.rounds);
+}
+
+/**
+ * A peer that pipelines its requests and then half-closes gets every
+ * response in order, then EOF. The server reads the FIN with the last
+ * frames, and closes the connection only once their responses are
+ * written, however the reads and its backed-up writes interleave.
+ */
+TEST(NetServer, HalfClosedPeerGetsEveryResponse)
+{
+    ServerFixture f;
+    auto cl = f.client();
+    ASSERT_TRUE(cl);
+
+    // Enough responses to back up the server's writes while the client
+    // is still sending.
+    constexpr std::uint64_t kDepth = 4096;
+    for (std::uint64_t id = 1; id <= kDepth; id++) {
+        Request req;
+        req.id = id;
+        req.type = MsgType::Put;
+        req.key = id;
+        req.value = id + 5;
+        ASSERT_TRUE(cl->sendRaw(req).isOk());
+    }
+    ASSERT_TRUE(cl->flush().isOk());
+    ASSERT_EQ(::shutdown(cl->fd(), SHUT_WR), 0);
+
+    std::uint64_t got = 0;
+    for (;;) {
+        auto resp = cl->recvResponse();
+        if (!resp.hasValue()) {
+            EXPECT_EQ(resp.status().code(), ErrorCode::Truncated)
+                << resp.status().str();
+            break;
+        }
+        got++;
+        ASSERT_EQ(resp->id, got) << "response out of order";
+    }
+    EXPECT_EQ(got, kDepth);
+
+    f.stop();
+    const auto st = f.server().stats();
+    EXPECT_EQ(st.framesIn, kDepth);
+    EXPECT_EQ(st.framesOut, kDepth);
+    EXPECT_EQ(st.closed, 1u);
+    EXPECT_EQ(st.protocolErrors, 0u);
 }
 
 /**
@@ -1326,6 +1377,344 @@ TEST(NetClient, QueuedRequestsGoOutWhenTheClientWaits)
     ASSERT_TRUE(third.has_value());
     ASSERT_TRUE(third->hasValue()) << third->status().str();
     EXPECT_EQ((*third)->id, 103u);
+    ::close(peer);
+    ::close(lfd);
+}
+
+/** May the calling thread run on two or more CPUs? A client connected
+ *  from such a thread polls before it blocks (client.hpp). */
+bool
+twoOrMoreCpus()
+{
+    cpu_set_t allowed;
+    return ::sched_getaffinity(0, sizeof allowed, &allowed) == 0 &&
+           CPU_COUNT(&allowed) >= 2;
+}
+
+/** Pins the calling thread to the first CPU it may run on, and gives
+ *  the thread its old mask back when destroyed. */
+class PinToOneCpu
+{
+  public:
+    PinToOneCpu()
+    {
+        if (::pthread_getaffinity_np(::pthread_self(), sizeof old_, &old_) !=
+            0) {
+            return;
+        }
+        saved_ = true;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        for (int cpu = 0; cpu < CPU_SETSIZE; cpu++) {
+            if (CPU_ISSET(cpu, &old_)) {
+                CPU_SET(cpu, &one);
+                break;
+            }
+        }
+        pinned_ =
+            ::pthread_setaffinity_np(::pthread_self(), sizeof one, &one) == 0;
+    }
+
+    ~PinToOneCpu()
+    {
+        if (saved_) {
+            (void)::pthread_setaffinity_np(::pthread_self(), sizeof old_,
+                                           &old_);
+        }
+    }
+
+    PinToOneCpu(const PinToOneCpu&) = delete;
+    PinToOneCpu& operator=(const PinToOneCpu&) = delete;
+
+    bool pinned() const { return pinned_; }
+
+  private:
+    cpu_set_t old_{};
+    bool saved_ = false;
+    bool pinned_ = false;
+};
+
+Request
+getRequest(std::uint64_t id)
+{
+    Request r;
+    r.type = MsgType::Get;
+    r.id = id;
+    r.key = id * 977;
+    return r;
+}
+
+/** Write a GET response frame for @p id, or its first @p cut bytes,
+ *  to @p fd; the byte count written. */
+int
+writeResponse(int fd, std::uint64_t id, std::size_t cut = SIZE_MAX)
+{
+    Response r;
+    r.type = MsgType::Get;
+    r.id = id;
+    std::vector<std::uint8_t> wire;
+    encodeResponse(r, wire);
+    const std::size_t n = std::min(cut, wire.size());
+    EXPECT_EQ(::send(fd, wire.data(), n, MSG_NOSIGNAL),
+              static_cast<ssize_t>(n));
+    return static_cast<int>(n);
+}
+
+/** Read one request frame from @p fd, waiting up to 5 s for it; its id,
+ *  or 0 on failure. Nothing may follow the frame. */
+std::uint64_t
+readRequest(int fd)
+{
+    std::vector<std::uint8_t> in;
+    for (;;) {
+        Request r;
+        auto used = decodeRequest(in.data(), in.size(), &r);
+        if (!used.hasValue()) {
+            ADD_FAILURE() << used.status().str();
+            return 0;
+        }
+        if (*used > 0) {
+            EXPECT_EQ(*used, in.size()) << "bytes after the request";
+            return r.id;
+        }
+        pollfd pfd{fd, POLLIN, 0};
+        if (::poll(&pfd, 1, 5000) != 1) {
+            ADD_FAILURE() << "no request within 5 s";
+            return 0;
+        }
+        std::uint8_t buf[kMaxFrameBody + 4];
+        const ssize_t got = ::recv(fd, buf, sizeof buf, 0);
+        if (got <= 0) {
+            ADD_FAILURE() << "peer recv returned " << got;
+            return 0;
+        }
+        in.insert(in.end(), buf, buf + got);
+    }
+}
+
+/** Bytes waiting in @p fd's receive queue once @p want have arrived,
+ *  waiting up to 5 s; fewer if they never do. */
+int
+waitForBytes(int fd, int want)
+{
+    int avail = 0;
+    for (int tries = 0; tries < 5000; tries++) {
+        if (::ioctl(fd, FIONREAD, &avail) != 0 || avail >= want) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return avail;
+}
+
+/**
+ * A response already in the client's socket is read by the poll: the
+ * wait writes the queued request first and then takes no blocking
+ * read, unless the client was connected on one CPU, where it never
+ * polls and its one blocking read returns at once.
+ */
+TEST(NetClient, WaitReadsAResponseAlreadyThereWithoutParking)
+{
+    int lfd = -1, peer = -1;
+    std::unique_ptr<ZkvClient> cl;
+    ASSERT_NO_FATAL_FAILURE(connectToBarePeer(lfd, peer, cl));
+    const bool polls = twoOrMoreCpus();
+
+    const int sent = writeResponse(peer, 7);
+    ASSERT_EQ(waitForBytes(cl->fd(), sent), sent);
+    ASSERT_TRUE(cl->sendRaw(getRequest(7)).isOk());
+
+    const ZkvClientStats before = cl->stats();
+    auto got = cl->recvResponse();
+    const ZkvClientStats after = cl->stats();
+    ASSERT_TRUE(got.hasValue()) << got.status().str();
+    EXPECT_EQ(got->id, 7u);
+    EXPECT_EQ(after.sendCalls - before.sendCalls, 1u);
+    EXPECT_EQ(after.recvCalls - before.recvCalls, 1u);
+    EXPECT_EQ(after.polls, before.polls);
+    EXPECT_EQ(after.parks - before.parks, polls ? 0u : 1u);
+    // The request went out before the read that found the response.
+    EXPECT_EQ(readRequest(peer), 7u);
+    ::close(peer);
+    ::close(lfd);
+}
+
+/**
+ * A response written 20 ms after its request outlasts the poll: the
+ * client polls (on two or more CPUs), then parks once, and the
+ * response still arrives.
+ */
+TEST(NetClient, LateResponseArrivesAfterOnePark)
+{
+    int lfd = -1, peer = -1;
+    std::unique_ptr<ZkvClient> cl;
+    ASSERT_NO_FATAL_FAILURE(connectToBarePeer(lfd, peer, cl));
+    const bool polls = twoOrMoreCpus();
+
+    ASSERT_TRUE(cl->sendRaw(getRequest(11)).isOk());
+    std::thread late([&] {
+        const std::uint64_t id = readRequest(peer);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        writeResponse(peer, id);
+    });
+    const ZkvClientStats before = cl->stats();
+    auto got = cl->recvResponse();
+    const ZkvClientStats after = cl->stats();
+    late.join();
+    ASSERT_TRUE(got.hasValue()) << got.status().str();
+    EXPECT_EQ(got->id, 11u);
+    EXPECT_EQ(after.parks - before.parks, 1u);
+    EXPECT_GT(after.parkedNs, before.parkedNs);
+    if (polls) {
+        EXPECT_GT(after.polls, before.polls);
+    } else {
+        EXPECT_EQ(after.polls, before.polls);
+    }
+    // Every read but the blocking one found nothing.
+    EXPECT_EQ(after.recvCalls - before.recvCalls,
+              after.polls - before.polls + 1);
+    ::close(peer);
+    ::close(lfd);
+}
+
+/**
+ * A poll that runs out, as every poll does while the peer shares the
+ * client's CPU, makes the next wait block at once; a second one makes
+ * the next two do so. A wait whose response is already there when it
+ * polls leaves that count alone.
+ */
+TEST(NetClient, PollThatRunsOutSkipsTheNextWaitsPolls)
+{
+    if (!twoOrMoreCpus()) GTEST_SKIP() << "a client on one CPU never polls";
+    int lfd = -1, peer = -1;
+    std::unique_ptr<ZkvClient> cl;
+    ASSERT_NO_FATAL_FAILURE(connectToBarePeer(lfd, peer, cl));
+
+    std::uint64_t id = 0;
+    // One wait; its stats delta. The peer answers 20 ms after it reads
+    // the request if @p late, else before the request is sent.
+    auto wait = [&](bool late) {
+        id++;
+        std::thread answer;
+        if (late) {
+            answer = std::thread([&, want = id] {
+                EXPECT_EQ(readRequest(peer), want);
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                writeResponse(peer, want);
+            });
+        } else {
+            const int sent = writeResponse(peer, id);
+            EXPECT_EQ(waitForBytes(cl->fd(), sent), sent);
+        }
+        EXPECT_TRUE(cl->sendRaw(getRequest(id)).isOk());
+        const ZkvClientStats before = cl->stats();
+        auto got = cl->recvResponse();
+        ZkvClientStats d = cl->stats();
+        if (late) {
+            answer.join();
+        } else {
+            EXPECT_EQ(readRequest(peer), id);
+        }
+        EXPECT_TRUE(got.hasValue() && got->id == id) << "wait " << id;
+        d.polls -= before.polls;
+        d.parks -= before.parks;
+        return d;
+    };
+
+    ZkvClientStats d = wait(true);
+    EXPECT_GT(d.polls, 0u);
+    EXPECT_EQ(d.parks, 1u);
+    d = wait(false); // skipped
+    EXPECT_EQ(d.polls, 0u);
+    EXPECT_EQ(d.parks, 1u);
+    d = wait(false); // polls, and its first read finds the response
+    EXPECT_EQ(d.polls, 0u);
+    EXPECT_EQ(d.parks, 0u);
+
+    d = wait(true);
+    EXPECT_GT(d.polls, 0u);
+    EXPECT_EQ(d.parks, 1u);
+    for (int skipped = 0; skipped < 2; skipped++) {
+        d = wait(false);
+        EXPECT_EQ(d.parks, 1u) << "skipped wait " << skipped;
+    }
+    d = wait(false);
+    EXPECT_EQ(d.parks, 0u);
+    ::close(peer);
+    ::close(lfd);
+}
+
+/**
+ * A peer that closes while the client polls gives the codes a blocking
+ * read gives: Truncated at EOF, with or without part of a frame
+ * buffered, and IoError on a reset.
+ */
+TEST(NetClient, PeerClosingInThePollWindowGivesTheBlockingCodes)
+{
+    const bool polls = twoOrMoreCpus();
+    // Each peer's end is there before the wait, so the wait's first
+    // read sees it: a poll, on two or more CPUs.
+    for (const bool reset : {false, true}) {
+        SCOPED_TRACE(reset ? "reset" : "EOF");
+        int lfd = -1, peer = -1;
+        std::unique_ptr<ZkvClient> cl;
+        ASSERT_NO_FATAL_FAILURE(connectToBarePeer(lfd, peer, cl));
+        if (reset) {
+            const linger now{1, 0};
+            ASSERT_EQ(::setsockopt(peer, SOL_SOCKET, SO_LINGER, &now,
+                                   sizeof now),
+                      0);
+        }
+        ::close(peer);
+        pollfd pfd{cl->fd(), POLLIN, 0};
+        ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+        const ZkvClientStats before = cl->stats();
+        auto got = cl->recvResponse();
+        ASSERT_FALSE(got.hasValue());
+        EXPECT_EQ(got.status().code(),
+                  reset ? ErrorCode::IoError : ErrorCode::Truncated);
+        EXPECT_EQ(cl->stats().parks - before.parks, polls ? 0u : 1u);
+        ::close(lfd);
+    }
+
+    // The peer answers with part of a frame and closes while the
+    // client waits for the rest.
+    int lfd = -1, peer = -1;
+    std::unique_ptr<ZkvClient> cl;
+    ASSERT_NO_FATAL_FAILURE(connectToBarePeer(lfd, peer, cl));
+    ASSERT_TRUE(cl->sendRaw(getRequest(5)).isOk());
+    std::thread closer([&] {
+        writeResponse(peer, readRequest(peer), 5);
+        ::close(peer);
+    });
+    auto got = cl->recvResponse();
+    closer.join();
+    ASSERT_FALSE(got.hasValue());
+    EXPECT_EQ(got.status().code(), ErrorCode::Truncated);
+    ::close(lfd);
+}
+
+/**
+ * The poll guard is read once, at connect(): a client connected from a
+ * thread pinned to one CPU never polls, even once that thread may run
+ * on more CPUs again, and still gets its response.
+ */
+TEST(NetClient, ClientConnectedOnOneCpuNeverPolls)
+{
+    int lfd = -1, peer = -1;
+    std::unique_ptr<ZkvClient> cl;
+    {
+        PinToOneCpu pin;
+        ASSERT_TRUE(pin.pinned());
+        ASSERT_NO_FATAL_FAILURE(connectToBarePeer(lfd, peer, cl));
+    }
+    ASSERT_TRUE(cl->sendRaw(getRequest(3)).isOk());
+    std::thread answer([&] { writeResponse(peer, readRequest(peer)); });
+    auto got = cl->recvResponse();
+    answer.join();
+    ASSERT_TRUE(got.hasValue()) << got.status().str();
+    EXPECT_EQ(got->id, 3u);
+    EXPECT_EQ(cl->stats().polls, 0u);
+    EXPECT_EQ(cl->stats().parks, 1u);
+    EXPECT_EQ(cl->stats().recvCalls, 1u);
     ::close(peer);
     ::close(lfd);
 }
